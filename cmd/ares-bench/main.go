@@ -22,6 +22,11 @@
 // non-zero. The seed can be pinned via -seed or the ARES_CHAOS_SEED
 // environment variable for exact replay.
 //
+// Everything here runs in-process over the simulated network. The
+// real-network benchmark — a spawned multi-process ares-server cluster on
+// loopback TCP, with end-to-end and per-layer metrics — is the nested bench
+// module: run it with `bash bench/run.sh`.
+//
 // See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded
 // paper-vs-measured results.
 package main
@@ -67,10 +72,7 @@ func run() error {
 		chaosRun  = flag.Bool("chaos", false, "run the adversarial chaos scenario matrix with linearizability verdicts")
 		scenarios = flag.String("scenario", "", "chaos suite: comma-separated scenario names (default: the whole matrix)")
 		stretch   = flag.Float64("stretch", 1, "chaos suite: scenario duration multiplier (soaks use > 1)")
-		verbose   = flag.Bool("v", false, "chaos/tcp suite: log fault events (chaos) or server output (tcp)")
-		tcpRun    = flag.Bool("tcp", false, "run the real-network suite against a spawned multi-process ares-server cluster")
-		tcpSrvs   = flag.Int("tcp-servers", 3, "tcp suite: number of ares-server processes to spawn (min 3)")
-		serverBin = flag.String("server-bin", "", "tcp suite: prebuilt ares-server binary (default: go build from the module)")
+		verbose   = flag.Bool("v", false, "chaos suite: log fault events")
 		adaptRun  = flag.Bool("adaptive", false, "run the adaptive-vs-static suite: the telemetry controller against fixed configurations over a drifting workload")
 		adaptDur  = flag.Duration("adaptive-duration", 8*time.Second, "adaptive suite: duration of each leg (two workload phases per leg); ~8s amortizes the controller's adaptation lag")
 	)
@@ -85,19 +87,6 @@ func run() error {
 			workers:  *workers,
 			seed:     *seed,
 			jsonPath: *jsonPath,
-		})
-	}
-	if *tcpRun {
-		return runTCPSuite(tcpSuiteParams{
-			servers:   *tcpSrvs,
-			duration:  *duration,
-			workers:   *workers,
-			keys:      *keys,
-			valSize:   *valSize,
-			seed:      *seed,
-			jsonPath:  *jsonPath,
-			serverBin: *serverBin,
-			verbose:   *verbose,
 		})
 	}
 	if *store || *jsonPath != "" {

@@ -38,8 +38,6 @@ func run() error {
 		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		peers     = flag.String("peers", "", "address book: id=addr,id=addr,... (required)")
 		bootstrap = flag.String("bootstrap", "", "initial configuration spec (optional; see package doc)")
-		wire      = flag.String("wire", "binary", "wire format: binary (compact framing) or gob (legacy); must match peers and clients")
-		nobatch   = flag.Bool("nobatch", false, "disable cross-key envelope coalescing (one frame per envelope); the bench's unbatched baseline")
 		dataDir   = flag.String("data-dir", "", "data directory for WAL + snapshots (empty = in-memory server, no crash recovery)")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every group commit (only meaningful with -data-dir)")
 		coalesce  = flag.Bool("fsync-coalesce", true, "batch fsync barriers across WAL stripes (only meaningful with -fsync); false restores sync-per-burst")
@@ -52,10 +50,6 @@ func run() error {
 	}
 
 	book, err := spec.ParseBook(*peers)
-	if err != nil {
-		return err
-	}
-	wireFormat, err := ares.ParseWireFormat(*wire)
 	if err != nil {
 		return err
 	}
@@ -76,8 +70,7 @@ func run() error {
 	}
 
 	srv, stats, err := ares.NewServerWithDurability(ares.ProcessID(*id), *listen, book,
-		ares.Durability{Dir: *dataDir, Fsync: *fsync, NoFsyncCoalesce: !*coalesce},
-		ares.WithWireFormat(wireFormat), ares.WithBatching(!*nobatch))
+		ares.Durability{Dir: *dataDir, Fsync: *fsync, NoFsyncCoalesce: !*coalesce})
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
 package transport
 
 // Tests for the FrameBatch coalescing layer: batch framing round trips,
-// malformed-batch rejection, the writer path's envelope/byte caps, the
-// saturated-send-queue Invoke contract, and race-safety of the process-wide
+// malformed-batch rejection, the writer path's envelope/byte caps and frame
+// limit, oversized envelopes failing alone, the saturated-send-queue Invoke
+// contract, and race-safety of the process-wide
 // codec counters (pinned under -race).
 
 import (
@@ -15,6 +16,7 @@ import (
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,73 +25,55 @@ import (
 
 // TestWireBatchRoundTrip pins that batched encodes decode into exactly the
 // single-frame envelope stream: the decoder is transparent, so read loops
-// never learn whether the peer batched. The gob format has no batch framing;
-// its per-envelope fallback must produce the same decoded stream.
+// never learn whether the peer batched.
 func TestWireBatchRoundTrip(t *testing.T) {
 	t.Parallel()
-	for _, format := range []WireFormat{WireBinary, WireGob} {
-		format := format
-		t.Run(string(format), func(t *testing.T) {
-			t.Parallel()
-			var buf bytes.Buffer
-			enc := newFrameEncoder(format, &buf)
-			if err := enc.encodeRequestBatch(sampleEnvelopes()); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.encodeReplyBatch(sampleReplies()); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.flush(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("binary", func(t *testing.T) {
+		t.Parallel()
+		var buf bytes.Buffer
+		enc := newFrameEncoder(&buf)
+		if err := encodeBatch(enc, sampleEnvelopes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := encodeBatch(enc, sampleReplies()); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			dec := newFrameDecoder(format, &buf)
-			for _, want := range sampleEnvelopes() {
-				var got tcpEnvelope
-				if err := dec.decodeRequest(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("batched request round trip:\n got %+v\nwant %+v", got, want)
-				}
+		dec := newFrameDecoder(&buf)
+		for _, want := range sampleEnvelopes() {
+			var got tcpEnvelope
+			if err := dec.decodeRequest(&got); err != nil {
+				t.Fatal(err)
 			}
-			for _, want := range sampleReplies() {
-				var got tcpReply
-				if err := dec.decodeReply(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("batched reply round trip:\n got %+v\nwant %+v", got, want)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batched request round trip:\n got %+v\nwant %+v", got, want)
 			}
-		})
-	}
+		}
+		for _, want := range sampleReplies() {
+			var got tcpReply
+			if err := dec.decodeReply(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batched reply round trip:\n got %+v\nwant %+v", got, want)
+			}
+		}
+	})
 }
 
 // TestWireBatchOfOneIsPlainFrame pins the degenerate case: a batch of one
-// emits byte-identical wire to the single-frame encoder, so a lone envelope
-// never pays batch framing overhead.
+// emits exactly the length-prefixed request body, so a lone envelope never
+// pays batch framing overhead.
 func TestWireBatchOfOneIsPlainFrame(t *testing.T) {
 	t.Parallel()
 	env := sampleEnvelopes()[0]
-	var single, batched bytes.Buffer
-	encS := newFrameEncoder(WireBinary, &single)
-	if err := encS.encodeRequest(env); err != nil {
-		t.Fatal(err)
-	}
-	if err := encS.flush(); err != nil {
-		t.Fatal(err)
-	}
-	encB := newFrameEncoder(WireBinary, &batched)
-	if err := encB.encodeRequestBatch([]tcpEnvelope{env}); err != nil {
-		t.Fatal(err)
-	}
-	if err := encB.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(single.Bytes(), batched.Bytes()) {
-		t.Fatalf("batch of one is not the plain frame:\n single %x\nbatched %x",
-			single.Bytes(), batched.Bytes())
+	var batched bytes.Buffer
+	encodeFrames(t, newFrameEncoder(&batched), []tcpEnvelope{env})
+	if plain := rawFrame(env.appendBody(nil)); !bytes.Equal(plain, batched.Bytes()) {
+		t.Fatalf("batch of one is not the plain frame:\n  plain %x\nbatched %x", plain, batched.Bytes())
 	}
 }
 
@@ -104,7 +88,7 @@ func rawFrame(body []byte) []byte {
 // decode loudly instead of misparsing or over-allocating.
 func TestWireRejectsMalformedBatchFrames(t *testing.T) {
 	t.Parallel()
-	valid := appendRequestBody(nil, sampleEnvelopes()[0])
+	valid := sampleEnvelopes()[0].appendBody(nil)
 	cases := map[string][]byte{
 		"zero envelopes": binary.AppendUvarint([]byte{frameBatch}, 0),
 		"count exceeds frame bytes": append(
@@ -118,7 +102,7 @@ func TestWireRejectsMalformedBatchFrames(t *testing.T) {
 		name, body := name, body
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			dec := newFrameDecoder(WireBinary, bytes.NewReader(rawFrame(body)))
+			dec := newFrameDecoder(bytes.NewReader(rawFrame(body)))
 			var env tcpEnvelope
 			if err := dec.decodeRequest(&env); err == nil {
 				t.Fatalf("malformed batch frame (%s) was accepted", name)
@@ -135,14 +119,14 @@ func TestWireBatchCountsIntoCodecStats(t *testing.T) {
 	envs := sampleEnvelopes()
 	before := CodecStats()
 	var buf bytes.Buffer
-	enc := newFrameEncoder(WireBinary, &buf)
-	if err := enc.encodeRequestBatch(envs); err != nil {
+	enc := newFrameEncoder(&buf)
+	if err := encodeBatch(enc, envs); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := newFrameDecoder(WireBinary, &buf)
+	dec := newFrameDecoder(&buf)
 	for range envs {
 		var env tcpEnvelope
 		if err := dec.decodeRequest(&env); err != nil {
@@ -165,26 +149,21 @@ func TestWireBatchCountsIntoCodecStats(t *testing.T) {
 	}
 }
 
-// TestBatchCaps pins the cap resolution: batching off collapses the count cap
-// to 1 (the pre-batching one-frame-per-envelope layout, where the writer also
-// flushes each frame individually) without touching the byte cap.
+// TestBatchCaps pins the cap resolution: the defaults, WithBatchLimits, and
+// that invalid limits are ignored rather than applied.
 func TestBatchCaps(t *testing.T) {
 	t.Parallel()
 	o := defaultTCPOptions()
-	if env, by := o.batchCaps(); env != defaultBatchEnvelopes || by != defaultBatchBytes {
-		t.Fatalf("default caps = (%d, %d), want (%d, %d)", env, by, defaultBatchEnvelopes, defaultBatchBytes)
+	if o.batchEnvelopes != defaultBatchEnvelopes || o.batchBytes != defaultBatchBytes {
+		t.Fatalf("default caps = (%d, %d), want (%d, %d)", o.batchEnvelopes, o.batchBytes, defaultBatchEnvelopes, defaultBatchBytes)
 	}
 	WithBatchLimits(3, 4096)(&o)
-	if env, by := o.batchCaps(); env != 3 || by != 4096 {
-		t.Fatalf("caps after WithBatchLimits(3, 4096) = (%d, %d)", env, by)
+	if o.batchEnvelopes != 3 || o.batchBytes != 4096 {
+		t.Fatalf("caps after WithBatchLimits(3, 4096) = (%d, %d)", o.batchEnvelopes, o.batchBytes)
 	}
 	WithBatchLimits(0, -1)(&o) // invalid values are ignored, not applied
-	if env, by := o.batchCaps(); env != 3 || by != 4096 {
-		t.Fatalf("caps after invalid WithBatchLimits = (%d, %d), want (3, 4096)", env, by)
-	}
-	WithBatching(false)(&o)
-	if env, by := o.batchCaps(); env != 1 || by != 4096 {
-		t.Fatalf("unbatched caps = (%d, %d), want (1, 4096)", env, by)
+	if o.batchEnvelopes != 3 || o.batchBytes != 4096 {
+		t.Fatalf("caps after invalid WithBatchLimits = (%d, %d), want (3, 4096)", o.batchEnvelopes, o.batchBytes)
 	}
 }
 
@@ -226,42 +205,42 @@ func TestTCPWriterSplitsBatchesAcrossCaps(t *testing.T) {
 
 			const total = 5
 			results := make(chan error, total)
-			for i := 0; i < total; i++ {
-				go func() {
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					defer cancel()
-					resp, err := client.Invoke(ctx, "s1", Request{
-						Service: "svc", Type: "op", Payload: bytes.Repeat([]byte{0x5A}, tc.payload),
-					})
-					if err == nil && !resp.OK {
-						err = fmt.Errorf("response not OK: %+v", resp)
-					}
-					results <- err
-				}()
+			invoke := func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				resp, err := client.Invoke(ctx, "s1", Request{
+					Service: "svc", Type: "op", Payload: bytes.Repeat([]byte{0x5A}, tc.payload),
+				})
+				if err == nil && !resp.OK {
+					err = fmt.Errorf("response not OK: %+v", resp)
+				}
+				results <- err
 			}
+			// The first request dials alone: concurrent first Invokes would
+			// each dial, and the test could pick up a losing dial's pipe.
+			go invoke()
 			ss := <-serverSide
 			defer ss.Close()
-			// Let all five enqueue while the writer is wedged flushing the
-			// first frame into the unread pipe, so the drain pass finds
+			time.Sleep(50 * time.Millisecond)
+			// Let the other four enqueue while the writer is wedged flushing
+			// the first frame into the unread pipe, so the drain pass finds
 			// cross-request traffic to pack.
+			for i := 1; i < total; i++ {
+				go invoke()
+			}
 			time.Sleep(100 * time.Millisecond)
 
 			// Play the server on the raw stream: tee the bytes for structural
 			// assertions while a real decoder yields envelopes to answer.
 			var raw bytes.Buffer
-			dec := newFrameDecoder(WireBinary, io.TeeReader(ss, &raw))
-			enc := newFrameEncoder(WireBinary, ss)
+			dec := newFrameDecoder(io.TeeReader(ss, &raw))
+			enc := newFrameEncoder(ss)
 			for seen := 0; seen < total; seen++ {
 				var env tcpEnvelope
 				if err := dec.decodeRequest(&env); err != nil {
 					t.Fatalf("decoding request %d: %v", seen, err)
 				}
-				if err := enc.encodeReply(tcpReply{ID: env.ID, Resp: OKResponse(nil)}); err != nil {
-					t.Fatal(err)
-				}
-				if err := enc.flush(); err != nil {
-					t.Fatal(err)
-				}
+				encodeFrames(t, enc, []tcpReply{{ID: env.ID, Resp: OKResponse(nil)}})
 			}
 			for i := 0; i < total; i++ {
 				if err := <-results; err != nil {
@@ -269,32 +248,16 @@ func TestTCPWriterSplitsBatchesAcrossCaps(t *testing.T) {
 				}
 			}
 
-			// Walk the captured stream frame by frame.
 			frames, batches, envelopes := 0, 0, 0
-			for raw.Len() > 0 {
-				var prefix [4]byte
-				if _, err := io.ReadFull(&raw, prefix[:]); err != nil {
-					t.Fatal(err)
-				}
-				body := make([]byte, binary.BigEndian.Uint32(prefix[:]))
-				if _, err := io.ReadFull(&raw, body); err != nil {
-					t.Fatal(err)
-				}
+			for _, f := range captureFrames(t, &raw) {
 				frames++
-				if len(body) > 0 && body[0] == frameBatch {
+				if f.envelopes > 1 {
 					batches++
-					c := wireCursor{b: body[1:]}
-					n := int(c.uvarint())
-					if c.err != nil {
-						t.Fatal(c.err)
-					}
-					if n > 2 {
-						t.Fatalf("batch frame carries %d envelopes, cap is 2", n)
-					}
-					envelopes += n
-				} else {
-					envelopes++
 				}
+				if f.envelopes > 2 {
+					t.Fatalf("batch frame carries %d envelopes, cap is 2", f.envelopes)
+				}
+				envelopes += f.envelopes
 			}
 			if envelopes != total {
 				t.Fatalf("stream carried %d envelopes, want %d", envelopes, total)
@@ -306,48 +269,147 @@ func TestTCPWriterSplitsBatchesAcrossCaps(t *testing.T) {
 	}
 }
 
-// TestTCPUnbatchedMatchesBatched pins end-to-end equivalence over real
-// sockets: a WithBatching(false) deployment serves the identical concurrent
-// traffic (the bench baseline), and — not parallel, so the global counters
-// are attributable — produces zero FrameBatch frames.
-func TestTCPUnbatchedMatchesBatched(t *testing.T) {
-	// Not parallel: asserts on the process-wide FramesBatched counter.
-	srv, err := NewTCPServer("s1", "127.0.0.1:0", echoHandler(nil), WithBatching(false))
+// capturedFrame is one frame of a captured stream: its body length and how
+// many envelopes it carries.
+type capturedFrame struct{ bytes, envelopes int }
+
+// captureFrames walks a captured stream frame by frame.
+func captureFrames(t *testing.T, raw *bytes.Buffer) []capturedFrame {
+	t.Helper()
+	var frames []capturedFrame
+	for raw.Len() > 0 {
+		var prefix [4]byte
+		if _, err := io.ReadFull(raw, prefix[:]); err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, binary.BigEndian.Uint32(prefix[:]))
+		if _, err := io.ReadFull(raw, body); err != nil {
+			t.Fatal(err)
+		}
+		f := capturedFrame{bytes: len(body), envelopes: 1}
+		if len(body) > 0 && body[0] == frameBatch {
+			c := wireCursor{b: body[1:]}
+			f.envelopes = int(c.uvarint())
+			if c.err != nil {
+				t.Fatal(c.err)
+			}
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+// TestWriterClosesBatchBeforeFrameLimit pins the writer's frame-limit rule:
+// with the count and byte caps out of the way, a batch closes before the
+// envelope that would push it past the frame limit. No frame exceeds the
+// limit, the writer still coalesces, and every envelope arrives.
+func TestWriterClosesBatchBeforeFrameLimit(t *testing.T) {
+	t.Parallel()
+	const total, limit = 5, 2500 // ~1 KiB envelopes: two fit a frame, three do not
+	queue := make(chan tcpEnvelope, total)
+	for i := 1; i <= total; i++ {
+		queue <- tcpEnvelope{ID: uint64(i), From: "c1", Req: Request{Service: "svc", Payload: make([]byte, 1000)}}
+	}
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	stopped := make(chan error, 1)
+	go func() { stopped <- writeBatches(newFrameEncoder(pw), queue, done, 64, 1<<30, limit) }()
+
+	var raw bytes.Buffer
+	dec := newFrameDecoder(io.TeeReader(pr, &raw))
+	for i := 1; i <= total; i++ {
+		var env tcpEnvelope
+		if err := dec.decodeRequest(&env); err != nil {
+			t.Fatalf("decoding envelope %d: %v", i, err)
+		}
+		if env.ID != uint64(i) {
+			t.Fatalf("envelope %d arrived as ID %d", i, env.ID)
+		}
+	}
+	close(done)
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+
+	batches, envelopes := 0, 0
+	for _, f := range captureFrames(t, &raw) {
+		if f.bytes > limit {
+			t.Fatalf("writer emitted a %d-byte frame past the %d-byte limit", f.bytes, limit)
+		}
+		if f.envelopes > 1 {
+			batches++
+		}
+		envelopes += f.envelopes
+	}
+	if envelopes != total || batches == 0 {
+		t.Fatalf("stream carried %d envelopes in %d batch frames, want %d envelopes, some batched", envelopes, batches, total)
+	}
+}
+
+// TestTCPOversizedEnvelopeFailsAlone pins the frame-limit contract end to
+// end: a request and a reply too large for one wire frame each fail their
+// own Invoke with ErrFrameTooLarge, while a concurrent Invoke on the same
+// connection, held in a slow handler meanwhile, still succeeds — and the
+// client never had to re-dial.
+func TestTCPOversizedEnvelopeFailsAlone(t *testing.T) {
+	// Not parallel: it holds a 64 MiB payload.
+	big := make([]byte, maxWireFrame+1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv, err := NewTCPServer("s1", "127.0.0.1:0", HandlerFunc(func(_ types.ProcessID, req Request) Response {
+		switch req.Type {
+		case "slow":
+			close(entered)
+			<-release
+			return OKResponse([]byte("slow"))
+		case "big-reply":
+			return OKResponse(big)
+		}
+		return OKResponse(nil)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}), WithBatching(false))
+	var dials atomic.Int64
+	client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}),
+		WithDialFunc(func(ctx context.Context, addr string) (net.Conn, error) {
+			dials.Add(1)
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		}))
 	defer client.Close()
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // runs before srv.Close, which waits for the handler
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
-	before := CodecStats()
-	const workers = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			payload := []byte(fmt.Sprintf("unbatched-%d", i))
-			resp, err := client.Invoke(context.Background(), "s1", Request{Service: "svc", Type: "echo", Payload: payload})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if string(resp.Payload) != string(payload) {
-				errs <- fmt.Errorf("response %q for request %q", resp.Payload, payload)
-			}
-		}()
+	slow := make(chan error, 1)
+	go func() {
+		resp, err := client.Invoke(ctx, "s1", Request{Service: "svc", Type: "slow"})
+		if err == nil && string(resp.Payload) != "slow" {
+			err = fmt.Errorf("slow invoke answered %+v", resp)
+		}
+		slow <- err
+	}()
+	select {
+	case <-entered:
+	case <-ctx.Done():
+		t.Fatal("slow request never reached its handler")
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+
+	if _, err := client.Invoke(ctx, "s1", Request{Service: "svc", Type: "big-request", Payload: big}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized request: %v, want ErrFrameTooLarge", err)
 	}
-	after := CodecStats()
-	if got := after.FramesBatched - before.FramesBatched; got != 0 {
-		t.Fatalf("FramesBatched advanced by %d on an unbatched deployment", got)
+	if _, err := client.Invoke(ctx, "s1", Request{Service: "svc", Type: "big-reply"}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized reply: %v, want ErrFrameTooLarge", err)
+	}
+	unblock()
+	if err := <-slow; err != nil {
+		t.Fatalf("concurrent invoke on the same connection: %v", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("client dialed %d times, want 1: an oversized envelope tore the connection down", n)
 	}
 }
 
@@ -414,10 +476,10 @@ func TestCodecStatsSnapshotRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			enc := newFrameEncoder(WireBinary, io.Discard)
+			enc := newFrameEncoder(io.Discard)
 			envs := sampleEnvelopes()
 			for i := 0; i < 300; i++ {
-				if err := enc.encodeRequestBatch(envs); err != nil {
+				if err := encodeBatch(enc, envs); err != nil {
 					t.Error(err)
 					return
 				}
@@ -450,34 +512,26 @@ func TestCodecStatsSnapshotRace(t *testing.T) {
 }
 
 // BenchmarkTCPInvokeConcurrent measures raw concurrent Invoke throughput over
-// one real loopback connection, batched vs unbatched — the isolated cost of
-// the writer path's coalescing decision, with no storage stack on top.
+// one real loopback connection — the writer path's coalescing under 32
+// concurrent callers, with no storage stack on top.
 func BenchmarkTCPInvokeConcurrent(b *testing.B) {
-	for _, batching := range []bool{true, false} {
-		name := "batched"
-		if !batching {
-			name = "unbatched"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, err := NewTCPServer("s1", "127.0.0.1:0", echoHandler(nil), WithBatching(batching))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}), WithBatching(batching))
-			defer client.Close()
-			payload := bytes.Repeat([]byte("x"), 256)
-			req := Request{Service: "bench", Type: "echo", Payload: payload}
-			b.SetParallelism(32)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := client.Invoke(context.Background(), "s1", req); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
+	srv, err := NewTCPServer("s1", "127.0.0.1:0", echoHandler(nil))
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer srv.Close()
+	client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}))
+	defer client.Close()
+	payload := bytes.Repeat([]byte("x"), 256)
+	req := Request{Service: "bench", Type: "echo", Payload: payload}
+	b.SetParallelism(32)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := client.Invoke(context.Background(), "s1", req); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -40,8 +40,7 @@ type CodecUsage struct {
 	DecodedBytes int64
 	// WireEncodes and WireDecodes count TCP frames written/read, and
 	// WireEncodedBytes/WireDecodedBytes the socket bytes they moved —
-	// whole envelopes including framing, not just bodies. The tcp bench
-	// compares wire formats (binary vs gob) on these.
+	// whole envelopes including framing, not just bodies.
 	WireEncodes      int64
 	WireDecodes      int64
 	WireEncodedBytes int64

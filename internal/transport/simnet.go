@@ -580,7 +580,7 @@ func (n *Simnet) drainBatcher(dst types.ProcessID, b *simBatcher) {
 					chunk = queue[:i]
 					break
 				}
-				size += requestWireSize(chunk[i].env)
+				size += wireSize(chunk[i].env)
 			}
 			queue = queue[len(chunk):]
 			n.dispatchChunk(dst, chunk)
@@ -600,11 +600,11 @@ func (n *Simnet) dispatchChunk(dst types.ProcessID, chunk []simDelivery) {
 		envs[i] = env
 	}
 	var buf bytes.Buffer
-	enc := newFrameEncoder(WireBinary, &buf)
+	enc := newFrameEncoder(&buf)
 	decoded := make([]tcpEnvelope, len(envs))
-	ok := enc.encodeRequestBatch(envs) == nil && enc.flush() == nil
+	ok := encodeBatch(enc, envs) == nil && enc.flush() == nil
 	if ok {
-		dec := newFrameDecoder(WireBinary, &buf)
+		dec := newFrameDecoder(&buf)
 		for i := range decoded {
 			if dec.decodeRequest(&decoded[i]) != nil {
 				ok = false

@@ -31,8 +31,9 @@ import (
 // by request ID; a torn-down connection fails every pending request with
 // ErrUnreachable.
 //
-// Frames are encoded by the wire codec (wire.go): compact length-prefixed
-// binary by default, legacy gob streams for comparison/compatibility.
+// Frames are encoded by the wire codec (wire.go). One generic writer loop,
+// writeBatches, serves both directions: the client's request writer and the
+// server's reply writer.
 
 // tcpEnvelope is one request frame: the multiplexing ID, the caller's
 // identity, and the request proper.
@@ -132,55 +133,28 @@ func (b DialBackoff) window(fails int, rng *rand.Rand) time.Duration {
 
 // tcpOptions collects the tunables shared by TCPClient and TCPServer.
 type tcpOptions struct {
-	wire           WireFormat
 	dialTimeout    time.Duration
 	maxHandlers    int
 	sendQueue      int
-	batching       bool
 	batchEnvelopes int
 	batchBytes     int
-	flushInterval  time.Duration
 	dial           func(ctx context.Context, addr string) (net.Conn, error)
 	backoff        DialBackoff
 }
 
 func defaultTCPOptions() tcpOptions {
 	return tcpOptions{
-		wire:           WireBinary,
 		dialTimeout:    defaultDialTimeout,
 		maxHandlers:    defaultMaxHandlers,
 		sendQueue:      defaultSendQueue,
-		batching:       true,
 		batchEnvelopes: defaultBatchEnvelopes,
 		batchBytes:     defaultBatchBytes,
 		backoff:        DefaultDialBackoff,
 	}
 }
 
-// batchCaps resolves the effective coalescing limits for a writer goroutine.
-// With batching disabled the count cap collapses to 1: every envelope rides
-// its own frame (the pre-batching wire layout). The writer also flushes after
-// every frame in that mode — one frame and one syscall per envelope — so the
-// unbatched baseline measures the full cost coalescing removes.
-func (o tcpOptions) batchCaps() (envelopes, bytes int) {
-	if !o.batching {
-		return 1, o.batchBytes
-	}
-	return o.batchEnvelopes, o.batchBytes
-}
-
 // TCPOption tunes a TCPClient or TCPServer.
 type TCPOption func(*tcpOptions)
-
-// WithWireFormat selects the frame encoding (default WireBinary). Client
-// and server must agree.
-func WithWireFormat(f WireFormat) TCPOption {
-	return func(o *tcpOptions) {
-		if f != "" {
-			o.wire = f
-		}
-	}
-}
 
 // WithDialTimeout bounds connection establishment when the caller's context
 // has no earlier deadline (default 5s). A black-holed address must never
@@ -215,21 +189,10 @@ func WithSendQueue(n int) TCPOption {
 	}
 }
 
-// WithBatching toggles cross-key envelope coalescing (default on). When on,
-// a writer goroutine packs every envelope it drains from its queue for one
-// peer into FrameBatch frames, up to the WithBatchLimits caps, and flushes
-// once per drained burst. Off restores one frame and one flush per envelope —
-// the baseline the coalescing bench compares against. Both sides may choose
-// independently: decoders always accept both layouts.
-func WithBatching(enabled bool) TCPOption {
-	return func(o *tcpOptions) {
-		o.batching = enabled
-	}
-}
-
 // WithBatchLimits caps one FrameBatch at maxEnvelopes envelopes and
 // (approximately) maxBytes of frame payload (defaults 64 and 128 KiB). A
 // batch closes when either cap is hit; the next envelope starts a new one.
+// Whatever the caps, a batch never grows past the wire frame limit.
 func WithBatchLimits(maxEnvelopes, maxBytes int) TCPOption {
 	return func(o *tcpOptions) {
 		if maxEnvelopes > 0 {
@@ -237,23 +200,6 @@ func WithBatchLimits(maxEnvelopes, maxBytes int) TCPOption {
 		}
 		if maxBytes > 0 {
 			o.batchBytes = maxBytes
-		}
-	}
-}
-
-// WithFlushInterval switches the writer goroutines from flush-per-burst to
-// timer-paced flushing: an open batch is held until either WithBatchLimits
-// cap is hit or d has elapsed since the batch's first envelope, whichever
-// comes first, and only then encoded and flushed. Bounded added latency (at
-// most d per op) buys bigger batches than the default cooperative-yield drain
-// can assemble when callers trickle in slower than the scheduler rotates.
-// Zero (the default) keeps the drain-and-yield behavior; the interval is
-// ignored while batching is off, since every envelope must ride — and flush —
-// its own frame there anyway.
-func WithFlushInterval(d time.Duration) TCPOption {
-	return func(o *tcpOptions) {
-		if d >= 0 {
-			o.flushInterval = d
 		}
 	}
 }
@@ -386,76 +332,20 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	defer kill()
 
 	replies := make(chan tcpReply, s.opts.sendQueue)
-	enc := newFrameEncoder(s.opts.wire, conn)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		defer kill() // a reply-write error tears the connection down
-		if d := s.opts.flushInterval; d > 0 && s.opts.batching {
-			s.replyLoopTimed(enc, replies, done, d)
-			return
-		}
-		maxEnvelopes, maxBytes := s.opts.batchCaps()
-		flushEach := !s.opts.batching
-		batch := make([]tcpReply, 0, maxEnvelopes)
-		size := 0
-		emit := func() error {
-			err := enc.encodeReplyBatch(batch)
-			batch, size = batch[:0], 0
-			if err == nil && flushEach {
-				err = enc.flush()
-			}
-			return err
-		}
-		for {
-			select {
-			case rep := <-replies:
-				// Coalesce whatever other handlers finished meanwhile —
-				// replies for many keys share one frame — then flush once
-				// for the burst.
-				batch = append(batch, rep)
-				size += replyWireSize(rep)
-				yielded := false
-				for drained := false; !drained; {
-					if len(batch) >= maxEnvelopes || size >= maxBytes {
-						if err := emit(); err != nil {
-							return
-						}
-					}
-					select {
-					case rep = <-replies:
-						batch = append(batch, rep)
-						size += replyWireSize(rep)
-					default:
-						// Same cooperative yield as the client writer: give
-						// handlers that just became runnable one scheduler
-						// pass to finish and enqueue, so concurrent replies
-						// share a frame instead of trickling out one by one.
-						if !yielded && !flushEach {
-							yielded = true
-							runtime.Gosched()
-							continue
-						}
-						drained = true
-					}
-				}
-				if err := emit(); err != nil {
-					return
-				}
-				if err := enc.flush(); err != nil {
-					return
-				}
-			case <-done:
-				return
-			}
-		}
+		// A write error needs no report: the deferred kill tears the
+		// connection down, which is all the error means here.
+		defer kill()
+		_ = writeBatches(newFrameEncoder(conn), replies, done, s.opts.batchEnvelopes, s.opts.batchBytes, maxWireFrame)
 	}()
 
 	// sem bounds in-flight handlers for this connection; when it is full
 	// the read loop pauses, letting TCP flow control push back on the peer.
 	sem := make(chan struct{}, s.opts.maxHandlers)
-	dec := newFrameDecoder(s.opts.wire, conn)
+	dec := newFrameDecoder(conn)
 	var handlerWG sync.WaitGroup
 readLoop:
 	for {
@@ -472,9 +362,14 @@ readLoop:
 		go func(env tcpEnvelope) {
 			defer handlerWG.Done()
 			defer func() { <-sem }()
-			resp := s.handler.HandleRequest(env.From, env.Req)
+			rep := tcpReply{ID: env.ID, Resp: s.handler.HandleRequest(env.From, env.Req)}
+			if !fitsFrame(wireSize(rep), maxWireFrame) {
+				// Fail this request alone; the peer's reader would drop
+				// the whole connection on an oversized frame.
+				rep.Resp = ErrResponse(ErrFrameTooLarge)
+			}
 			select {
-			case replies <- tcpReply{ID: env.ID, Resp: resp}:
+			case replies <- rep:
 			case <-done:
 			}
 		}(env)
@@ -482,70 +377,6 @@ readLoop:
 	kill()
 	handlerWG.Wait()
 	writerWG.Wait()
-}
-
-// replyLoopTimed is the reply writer under WithFlushInterval: the open batch
-// is held until a cap is hit or the timer — armed when the batch's first
-// reply arrives — fires, then encoded and flushed as one burst. The timer
-// replaces the cooperative Gosched yield: handlers finishing within the
-// window share a frame no matter how the scheduler interleaves them.
-func (s *TCPServer) replyLoopTimed(enc frameEncoder, replies <-chan tcpReply, done <-chan struct{}, d time.Duration) {
-	maxEnvelopes, maxBytes := s.opts.batchCaps()
-	batch := make([]tcpReply, 0, maxEnvelopes)
-	size := 0
-	timer := time.NewTimer(d)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	armed := false
-	disarm := func() {
-		if armed {
-			armed = false
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-	}
-	emit := func() error {
-		err := enc.encodeReplyBatch(batch)
-		batch, size = batch[:0], 0
-		if err == nil {
-			err = enc.flush()
-		}
-		disarm()
-		return err
-	}
-	for {
-		var fire <-chan time.Time
-		if armed {
-			fire = timer.C
-		}
-		select {
-		case rep := <-replies:
-			batch = append(batch, rep)
-			size += replyWireSize(rep)
-			if !armed {
-				armed = true
-				timer.Reset(d)
-			}
-			if len(batch) >= maxEnvelopes || size >= maxBytes {
-				if err := emit(); err != nil {
-					return
-				}
-			}
-		case <-fire:
-			armed = false
-			if err := emit(); err != nil {
-				return
-			}
-		case <-done:
-			return
-		}
-	}
 }
 
 // TCPClient is a transport Client over TCP. It maintains one pipelined
@@ -620,7 +451,13 @@ type tcpConn struct {
 
 // Invoke implements Client. The request is registered in the pending table,
 // handed to the connection's writer goroutine, and awaited — under no lock.
+// A request or reply too large for one wire frame fails this Invoke alone
+// with ErrFrameTooLarge.
 func (c *TCPClient) Invoke(ctx context.Context, dst types.ProcessID, req Request) (Response, error) {
+	env := tcpEnvelope{ID: c.next.Add(1), From: c.self, Req: req}
+	if n := wireSize(env); !fitsFrame(n, maxWireFrame) {
+		return Response{}, fmt.Errorf("%w: %d-byte request to %s", ErrFrameTooLarge, n, dst)
+	}
 	addr, ok := c.book(dst)
 	if !ok {
 		return Response{}, fmt.Errorf("%w: no address for %s", ErrUnreachable, dst)
@@ -633,7 +470,7 @@ func (c *TCPClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 		return Response{}, fmt.Errorf("%w: dialing %s: %v", ErrUnreachable, dst, err)
 	}
 
-	id := c.next.Add(1)
+	id := env.ID
 	ch := make(chan Response, 1)
 	tc.mu.Lock()
 	if tc.dead {
@@ -644,7 +481,7 @@ func (c *TCPClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 	tc.mu.Unlock()
 
 	select {
-	case tc.sendQ <- tcpEnvelope{ID: id, From: c.self, Req: req}:
+	case tc.sendQ <- env:
 	case <-tc.done:
 		c.forget(tc, id)
 		return Response{}, fmt.Errorf("%w: connection to %s lost", ErrUnreachable, dst)
@@ -657,6 +494,9 @@ func (c *TCPClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 	case resp, open := <-ch:
 		if !open {
 			return Response{}, fmt.Errorf("%w: connection to %s closed", ErrUnreachable, dst)
+		}
+		if !resp.OK && resp.Err == ErrFrameTooLarge.Error() {
+			return Response{}, fmt.Errorf("%w: reply from %s", ErrFrameTooLarge, dst)
 		}
 		return resp, nil
 	case <-ctx.Done():
@@ -782,152 +622,89 @@ func (c *TCPClient) clearDialFailures(addr string) {
 	c.mu.Unlock()
 }
 
-// requestWireSize estimates an envelope's frame cost for the batch byte cap
-// (fields plus a generous varint/framing allowance — a cap, not an invoice).
-func requestWireSize(env tcpEnvelope) int {
-	return 16 + len(env.From) + len(env.Req.Service) + len(env.Req.Key) +
-		len(env.Req.Config) + len(env.Req.Type) + len(env.Req.Payload)
-}
-
-func replyWireSize(rep tcpReply) int {
-	return 16 + len(rep.Resp.Err) + len(rep.Resp.Payload)
-}
-
-// writeLoop owns the outbound half of one connection. It drains the send
-// queue into FrameBatch frames — all envelopes bound for this peer, whatever
-// key they target, pack together up to the batch caps — and flushes once per
-// burst (or after every frame when batching is off). It is the only goroutine
-// that can block in a socket write; Invoke and Close never do.
-func (c *TCPClient) writeLoop(addr string, tc *tcpConn) {
-	enc := newFrameEncoder(c.opts.wire, tc.conn)
-	defer c.dropConn(addr, tc)
-	if d := c.opts.flushInterval; d > 0 && c.opts.batching {
-		c.writeLoopTimed(tc, enc, d)
-		return
-	}
-	maxEnvelopes, maxBytes := c.opts.batchCaps()
-	flushEach := !c.opts.batching
-	batch := make([]tcpEnvelope, 0, maxEnvelopes)
+// writeBatches is the one writer loop of the data plane: the client runs
+// it over a connection's request queue, the server over its reply queue. It
+// is the only goroutine that can block in that socket's writes; Invoke,
+// handlers and Close never do.
+//
+// It drains the queue into FrameBatch frames — every envelope bound for the
+// peer, whatever key it targets, packs together — and flushes once per
+// burst. A batch closes when it reaches maxEnvelopes or maxBytes, and before
+// an envelope that would push it past maxFrame (the reader's frame limit).
+// It returns on the first write error or once done closes.
+func writeBatches[T wireEnvelope](enc *frameEncoder, queue <-chan T, done <-chan struct{}, maxEnvelopes, maxBytes, maxFrame int) error {
+	batch := make([]T, 0, maxEnvelopes)
 	size := 0
 	emit := func() error {
-		err := enc.encodeRequestBatch(batch)
+		err := encodeBatch(enc, batch)
 		batch, size = batch[:0], 0
-		if err == nil && flushEach {
-			err = enc.flush()
-		}
 		return err
+	}
+	add := func(v T) error {
+		n := wireSize(v)
+		if len(batch) > 0 && !fitsFrame(size+n, maxFrame) {
+			if err := emit(); err != nil {
+				return err
+			}
+		}
+		batch = append(batch, v)
+		size += n
+		if len(batch) >= maxEnvelopes || size >= maxBytes {
+			return emit()
+		}
+		return nil
 	}
 	for {
 		select {
-		case env := <-tc.sendQ:
-			batch = append(batch, env)
-			size += requestWireSize(env)
-			yielded := false
-			for drained := false; !drained; {
-				if len(batch) >= maxEnvelopes || size >= maxBytes {
-					if err := emit(); err != nil {
-						return
-					}
-				}
+		case v := <-queue:
+			if err := add(v); err != nil {
+				return err
+			}
+			for yielded := false; ; {
 				select {
-				case env = <-tc.sendQ:
-					batch = append(batch, env)
-					size += requestWireSize(env)
-				default:
-					// One cooperative yield before closing the batch: the
-					// enqueue that woke this writer put it in the scheduler's
-					// next slot, ahead of every other caller mid-broadcast —
-					// draining now would pack batches of one, forever. A
-					// single Gosched lets those callers enqueue first; worst
-					// case is one empty reschedule, no timers.
-					if !yielded && !flushEach {
-						yielded = true
-						runtime.Gosched()
-						continue
+				case v = <-queue:
+					if err := add(v); err != nil {
+						return err
 					}
-					drained = true
+					continue
+				default:
 				}
+				if yielded {
+					break
+				}
+				// One cooperative yield before closing the batch: the
+				// enqueue that woke this writer put it in the scheduler's
+				// next slot, ahead of every other caller mid-broadcast (or
+				// handler mid-reply) — draining now would pack batches of
+				// one, forever. A single Gosched lets them enqueue first;
+				// worst case is one empty reschedule, no timers.
+				yielded = true
+				runtime.Gosched()
 			}
 			if err := emit(); err != nil {
-				return
+				return err
 			}
 			if err := enc.flush(); err != nil {
-				return
+				return err
 			}
-		case <-tc.done:
-			return
+		case <-done:
+			return nil
 		}
 	}
 }
 
-// writeLoopTimed is writeLoop under WithFlushInterval — the request-side
-// mirror of replyLoopTimed: hold the batch open until a cap is hit or d has
-// elapsed since its first envelope, then encode and flush once. Worst-case
-// added latency per request is d; in exchange, quorum phases that trickle in
-// slower than the scheduler rotates still pack into shared frames.
-func (c *TCPClient) writeLoopTimed(tc *tcpConn, enc frameEncoder, d time.Duration) {
-	maxEnvelopes, maxBytes := c.opts.batchCaps()
-	batch := make([]tcpEnvelope, 0, maxEnvelopes)
-	size := 0
-	timer := time.NewTimer(d)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	armed := false
-	disarm := func() {
-		if armed {
-			armed = false
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-	}
-	emit := func() error {
-		err := enc.encodeRequestBatch(batch)
-		batch, size = batch[:0], 0
-		if err == nil {
-			err = enc.flush()
-		}
-		disarm()
-		return err
-	}
-	for {
-		var fire <-chan time.Time
-		if armed {
-			fire = timer.C
-		}
-		select {
-		case env := <-tc.sendQ:
-			batch = append(batch, env)
-			size += requestWireSize(env)
-			if !armed {
-				armed = true
-				timer.Reset(d)
-			}
-			if len(batch) >= maxEnvelopes || size >= maxBytes {
-				if err := emit(); err != nil {
-					return
-				}
-			}
-		case <-fire:
-			armed = false
-			if err := emit(); err != nil {
-				return
-			}
-		case <-tc.done:
-			return
-		}
-	}
+// writeLoop runs the connection's request writer and tears the connection
+// down when it stops; dropConn fails the pending requests, so a write error
+// needs no further report.
+func (c *TCPClient) writeLoop(addr string, tc *tcpConn) {
+	defer c.dropConn(addr, tc)
+	_ = writeBatches(newFrameEncoder(tc.conn), tc.sendQ, tc.done, c.opts.batchEnvelopes, c.opts.batchBytes, maxWireFrame)
 }
 
 // readLoop owns the inbound half: decode reply frames and resolve pending
 // requests by ID.
 func (c *TCPClient) readLoop(addr string, tc *tcpConn) {
-	dec := newFrameDecoder(c.opts.wire, tc.conn)
+	dec := newFrameDecoder(tc.conn)
 	defer c.dropConn(addr, tc)
 	for {
 		var reply tcpReply

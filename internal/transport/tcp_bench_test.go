@@ -11,14 +11,14 @@ import (
 )
 
 // benchEchoServer starts an echo server and a client wired to it for one
-// benchmark, in the given wire format.
-func benchEchoServer(b *testing.B, format WireFormat) (*TCPClient, func()) {
+// benchmark.
+func benchEchoServer(b *testing.B) (*TCPClient, func()) {
 	b.Helper()
-	srv, err := NewTCPServer("s1", "127.0.0.1:0", echoHandler(nil), WithWireFormat(format))
+	srv, err := NewTCPServer("s1", "127.0.0.1:0", echoHandler(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
-	client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}), WithWireFormat(format))
+	client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}))
 	return client, func() {
 		client.Close()
 		_ = srv.Close()
@@ -32,38 +32,36 @@ func benchEchoServer(b *testing.B, format WireFormat) (*TCPClient, func()) {
 // behind a per-connection lock (the pre-PR 6 behaviour).
 func BenchmarkTCPInvoke(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 1024)
-	for _, format := range []WireFormat{WireBinary, WireGob} {
-		for _, workers := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("wire=%s/workers=%d", format, workers), func(b *testing.B) {
-				client, cleanup := benchEchoServer(b, format)
-				defer cleanup()
-				ctx := context.Background()
-				// Warm the connection so dial cost stays out of the loop.
-				if _, err := client.Invoke(ctx, "s1", Request{Payload: payload}); err != nil {
-					b.Fatal(err)
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			client, cleanup := benchEchoServer(b)
+			defer cleanup()
+			ctx := context.Background()
+			// Warm the connection so dial cost stays out of the loop.
+			if _, err := client.Invoke(ctx, "s1", Request{Payload: payload}); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / workers
+			for w := 0; w < workers; w++ {
+				n := per
+				if w == 0 {
+					n += b.N % workers
 				}
-				b.SetBytes(int64(len(payload)))
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / workers
-				for w := 0; w < workers; w++ {
-					n := per
-					if w == 0 {
-						n += b.N % workers
-					}
-					wg.Add(1)
-					go func(n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							if _, err := client.Invoke(ctx, "s1", Request{Service: "bench", Type: "echo", Payload: payload}); err != nil {
-								b.Error(err)
-								return
-							}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if _, err := client.Invoke(ctx, "s1", Request{Service: "bench", Type: "echo", Payload: payload}); err != nil {
+							b.Error(err)
+							return
 						}
-					}(n)
-				}
-				wg.Wait()
-			})
-		}
+					}
+				}(n)
+			}
+			wg.Wait()
+		})
 	}
 }

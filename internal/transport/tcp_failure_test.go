@@ -432,13 +432,7 @@ func TestTCPServerWriteErrorTearsDownConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := newFrameEncoder(WireBinary, conn)
-	if err := enc.encodeRequest(tcpEnvelope{ID: 1, From: "ghost", Req: Request{Service: "svc", Type: "op"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.flush(); err != nil {
-		t.Fatal(err)
-	}
+	encodeFrames(t, newFrameEncoder(conn), []tcpEnvelope{{ID: 1, From: "ghost", Req: Request{Service: "svc", Type: "op"}}})
 	<-handled // the handler ran; now vanish before the reply drains
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetLinger(0) // RST instead of FIN so the pending write errors

@@ -10,7 +10,7 @@
 //     Appendix D) is parameterized on. Per-process delay classes, crash
 //     failures, partitions, and wire-byte accounting are supported.
 //
-//   - TCP: a length-delimited gob protocol over real sockets for local
+//   - TCP: a compact length-prefixed binary framing over real sockets for
 //     multi-process deployments (cmd/ares-server and friends).
 //
 // All protocol exchanges are request/response: a client invokes a typed

@@ -3,59 +3,28 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"github.com/ares-storage/ares/internal/types"
 )
 
-// The TCP wire layer frames request/reply envelopes onto a byte stream. Two
-// formats are supported:
+// The TCP wire layer frames request/reply envelopes onto a byte stream. Every
+// frame is a 4-byte big-endian length followed by a hand-rolled body — a kind
+// byte, a uvarint request ID, and uvarint-length-prefixed strings/bytes for
+// the envelope fields. Nothing else crosses the wire: no type dictionaries,
+// no field names, no per-stream state. A frame costs its fields plus one
+// varint per field plus 5 bytes of framing.
 //
-//   - WireBinary (the default): every frame is a 4-byte big-endian length
-//     followed by a hand-rolled body — a kind byte, a uvarint request ID,
-//     and uvarint-length-prefixed strings/bytes for the envelope fields.
-//     Nothing else crosses the wire: no type dictionaries, no field names,
-//     no per-stream state. A frame costs its fields plus one varint per
-//     field plus 5 bytes of framing.
-//
-//   - WireGob: the legacy stream format — a persistent gob encoder per
-//     connection direction (so type descriptions are emitted once per
-//     stream, amortized). Kept as the comparison baseline and as an escape
-//     hatch for mixed-version deployments; ares-server selects it with
-//     -wire gob.
-//
-// Both formats count frames and socket bytes into the process-wide
-// CodecStats (WireEncodes/WireEncodedBytes/...), which is how the bench
-// suite attributes bytes-per-operation to a codec and how tests pin the
-// binary format's size advantage. Body payloads inside the envelope remain
-// the product of transport.Marshal, so the Broadcast marshal-once
-// invariants (one body encode per quorum phase) are unaffected by the wire
-// format.
+// Frames are counted into the process-wide CodecStats
+// (WireEncodes/WireEncodedBytes/...), which is how benchmarks attribute
+// bytes-per-operation to the codec. Body payloads inside the envelope remain
+// the product of transport.Marshal, so the Broadcast marshal-once invariants
+// (one body encode per quorum phase) are unaffected by the framing.
 
-// WireFormat selects the TCP frame encoding.
-type WireFormat string
-
-const (
-	// WireBinary is the compact length-prefixed binary framing (default).
-	WireBinary WireFormat = "binary"
-	// WireGob is the legacy per-stream gob framing.
-	WireGob WireFormat = "gob"
-)
-
-// ParseWireFormat converts a flag value into a WireFormat.
-func ParseWireFormat(s string) (WireFormat, error) {
-	switch WireFormat(s) {
-	case WireBinary, "":
-		return WireBinary, nil
-	case WireGob:
-		return WireGob, nil
-	}
-	return "", fmt.Errorf("transport: unknown wire format %q (want %q or %q)", s, WireBinary, WireGob)
-}
-
-// Frame kinds. The kind byte leads every binary frame body so a peer that
+// Frame kinds. The kind byte leads every frame body so a peer that
 // cross-wires directions (or a corrupted stream) fails loudly instead of
 // misparsing.
 const (
@@ -70,33 +39,90 @@ const (
 	frameBatch byte = 0x03
 )
 
-// maxWireFrame bounds a peer-supplied frame length. A corrupt or hostile
-// length prefix must not make the reader allocate gigabytes.
+// maxWireFrame bounds a frame body. The reader rejects a longer length
+// prefix — a corrupt or hostile one must not make it allocate gigabytes —
+// and drops the connection, so the writers never emit one: Invoke and the
+// server refuse an envelope that cannot fit (ErrFrameTooLarge), and the
+// writer closes a batch before an envelope would push it past the cap.
 const maxWireFrame = 64 << 20
 
-// frameEncoder writes envelope frames onto a buffered stream. Implementations
-// are not safe for concurrent use: exactly one writer goroutine owns each
-// encoder (that is the pipelining invariant of the TCP data plane).
-type frameEncoder interface {
-	encodeRequest(env tcpEnvelope) error
-	encodeReply(rep tcpReply) error
-	// encodeRequestBatch and encodeReplyBatch coalesce several envelopes
-	// into one FrameBatch frame (binary format). The gob format has no
-	// batch framing — its encoders fall back to a per-envelope loop, so
-	// -wire gob keeps working with the batching writer path.
-	encodeRequestBatch(envs []tcpEnvelope) error
-	encodeReplyBatch(reps []tcpReply) error
-	// flush pushes buffered frames onto the socket. The writer goroutine
-	// calls it after draining its send queue, so back-to-back frames share
-	// one syscall.
-	flush() error
+// batchHeaderMax bounds what a batch frame adds to its envelopes' wireSize:
+// the kind byte and the uvarint envelope count.
+const batchHeaderMax = 1 + binary.MaxVarintLen64
+
+// ErrFrameTooLarge reports an envelope too large for one wire frame. It fails
+// that one Invoke; the connection and every other request on it carry on.
+var ErrFrameTooLarge = errors.New("transport: envelope exceeds the wire frame limit")
+
+// fitsFrame reports whether envelopes whose wireSize sums to size fit one
+// frame of at most limit bytes.
+func fitsFrame(size, limit int) bool { return size+batchHeaderMax <= limit }
+
+// wireEnvelope is what the shared writer and batch encoder need of the two
+// frame kinds, tcpEnvelope and tcpReply.
+type wireEnvelope interface {
+	// bodySize is the exact length appendBody adds.
+	bodySize() int
+	// appendBody appends the frame body, kind byte first.
+	appendBody(b []byte) []byte
 }
 
-// frameDecoder reads envelope frames from a stream. One reader goroutine
-// owns each decoder.
-type frameDecoder interface {
-	decodeRequest(env *tcpEnvelope) error
-	decodeReply(rep *tcpReply) error
+// wireSize is an envelope's exact cost inside a batch frame: its body plus
+// the body's length prefix. A lone envelope rides a plain frame, which is
+// smaller still.
+func wireSize[T wireEnvelope](v T) int { return wireBytesSize(v.bodySize()) }
+
+// uvarintSize is the encoded length of v as a uvarint.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// wireBytesSize is the encoded length of an n-byte string or byte field.
+func wireBytesSize(n int) int { return uvarintSize(uint64(n)) + n }
+
+func appendWireString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendWireBytes(b, p []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p)))
+	return append(b, p...)
+}
+
+func (env tcpEnvelope) bodySize() int {
+	return 1 + uvarintSize(env.ID) + wireBytesSize(len(env.From)) +
+		wireBytesSize(len(env.Req.Service)) + wireBytesSize(len(env.Req.Key)) +
+		wireBytesSize(len(env.Req.Config)) + wireBytesSize(len(env.Req.Type)) +
+		wireBytesSize(len(env.Req.Payload))
+}
+
+func (env tcpEnvelope) appendBody(b []byte) []byte {
+	b = append(b, frameRequest)
+	b = binary.AppendUvarint(b, env.ID)
+	b = appendWireString(b, string(env.From))
+	b = appendWireString(b, env.Req.Service)
+	b = appendWireString(b, env.Req.Key)
+	b = appendWireString(b, env.Req.Config)
+	b = appendWireString(b, env.Req.Type)
+	b = appendWireBytes(b, env.Req.Payload)
+	return b
+}
+
+func (rep tcpReply) bodySize() int {
+	return 2 + uvarintSize(rep.ID) + wireBytesSize(len(rep.Resp.Err)) +
+		wireBytesSize(len(rep.Resp.Payload))
+}
+
+func (rep tcpReply) appendBody(b []byte) []byte {
+	b = append(b, frameReply)
+	b = binary.AppendUvarint(b, rep.ID)
+	if rep.Resp.OK {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = appendWireString(b, rep.Resp.Err)
+	b = appendWireBytes(b, rep.Resp.Payload)
+	return b
 }
 
 // countingWriter counts socket-bound bytes into the wire counters. It sits
@@ -124,45 +150,21 @@ func (cr countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func newFrameEncoder(f WireFormat, w io.Writer) frameEncoder {
-	bw := bufio.NewWriter(countingWriter{w})
-	if f == WireGob {
-		return &gobFrameEncoder{bw: bw, enc: gob.NewEncoder(bw)}
-	}
-	return &binaryFrameEncoder{bw: bw}
-}
-
-func newFrameDecoder(f WireFormat, r io.Reader) frameDecoder {
-	br := bufio.NewReader(countingReader{r})
-	if f == WireGob {
-		return &gobFrameDecoder{dec: gob.NewDecoder(br)}
-	}
-	return &binaryFrameDecoder{br: br}
-}
-
-// --- binary format ---
-
-type binaryFrameEncoder struct {
+// frameEncoder writes frames onto a buffered stream. It is not safe for
+// concurrent use: exactly one writer goroutine owns each encoder (that is
+// the pipelining invariant of the TCP data plane).
+type frameEncoder struct {
 	bw      *bufio.Writer
 	scratch []byte
-	// inner is a second reuse buffer for building per-envelope bodies while
-	// scratch accumulates the outer batch frame.
-	inner []byte
 }
 
-func appendWireString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendWireBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
+func newFrameEncoder(w io.Writer) *frameEncoder {
+	return &frameEncoder{bw: bufio.NewWriter(countingWriter{w})}
 }
 
 // writeFrame emits the 4-byte length prefix and the body, and counts the
 // frame.
-func (e *binaryFrameEncoder) writeFrame(body []byte) error {
+func (e *frameEncoder) writeFrame(body []byte) error {
 	var prefix [4]byte
 	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
 	if _, err := e.bw.Write(prefix[:]); err != nil {
@@ -175,89 +177,36 @@ func (e *binaryFrameEncoder) writeFrame(body []byte) error {
 	return nil
 }
 
-func appendRequestBody(b []byte, env tcpEnvelope) []byte {
-	b = append(b, frameRequest)
-	b = binary.AppendUvarint(b, env.ID)
-	b = appendWireString(b, string(env.From))
-	b = appendWireString(b, env.Req.Service)
-	b = appendWireString(b, env.Req.Key)
-	b = appendWireString(b, env.Req.Config)
-	b = appendWireString(b, env.Req.Type)
-	b = appendWireBytes(b, env.Req.Payload)
-	return b
-}
-
-func appendReplyBody(b []byte, rep tcpReply) []byte {
-	b = append(b, frameReply)
-	b = binary.AppendUvarint(b, rep.ID)
-	if rep.Resp.OK {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendWireString(b, rep.Resp.Err)
-	b = appendWireBytes(b, rep.Resp.Payload)
-	return b
-}
-
-func (e *binaryFrameEncoder) encodeRequest(env tcpEnvelope) error {
-	b := appendRequestBody(e.scratch[:0], env)
-	e.scratch = b
-	recordFrameEnvelopes(1)
-	return e.writeFrame(b)
-}
-
-func (e *binaryFrameEncoder) encodeReply(rep tcpReply) error {
-	b := appendReplyBody(e.scratch[:0], rep)
-	e.scratch = b
-	recordFrameEnvelopes(1)
-	return e.writeFrame(b)
-}
-
-// encodeBatch wraps n pre-built inner bodies (appended via build) into one
-// FrameBatch frame. A batch of one degrades to the plain single frame, so
-// the wire never pays batch overhead for a lone envelope.
-func (e *binaryFrameEncoder) encodeBatch(n int, build func(b []byte, i int) []byte) error {
-	if n == 1 {
-		b := build(e.scratch[:0], 0)
+// encodeBatch coalesces envelopes into one FrameBatch frame. A batch of one
+// is the plain single frame, so a lone envelope never pays batch overhead;
+// an empty batch writes nothing.
+func encodeBatch[T wireEnvelope](e *frameEncoder, batch []T) error {
+	switch len(batch) {
+	case 0:
+		return nil
+	case 1:
+		e.scratch = batch[0].appendBody(e.scratch[:0])
+	default:
+		b := append(e.scratch[:0], frameBatch)
+		b = binary.AppendUvarint(b, uint64(len(batch)))
+		for _, v := range batch {
+			b = binary.AppendUvarint(b, uint64(v.bodySize()))
+			b = v.appendBody(b)
+		}
 		e.scratch = b
-		recordFrameEnvelopes(1)
-		return e.writeFrame(b)
 	}
-	outer := e.scratch[:0]
-	outer = append(outer, frameBatch)
-	outer = binary.AppendUvarint(outer, uint64(n))
-	for i := 0; i < n; i++ {
-		inner := build(e.inner[:0], i)
-		e.inner = inner
-		outer = appendWireBytes(outer, inner)
-	}
-	e.scratch = outer
-	recordFrameEnvelopes(n)
-	return e.writeFrame(outer)
+	recordFrameEnvelopes(len(batch))
+	return e.writeFrame(e.scratch)
 }
 
-func (e *binaryFrameEncoder) encodeRequestBatch(envs []tcpEnvelope) error {
-	if len(envs) == 0 {
-		return nil
-	}
-	return e.encodeBatch(len(envs), func(b []byte, i int) []byte {
-		return appendRequestBody(b, envs[i])
-	})
-}
+// flush pushes buffered frames onto the socket. The writer goroutine calls
+// it after draining its send queue, so back-to-back frames share one
+// syscall.
+func (e *frameEncoder) flush() error { return e.bw.Flush() }
 
-func (e *binaryFrameEncoder) encodeReplyBatch(reps []tcpReply) error {
-	if len(reps) == 0 {
-		return nil
-	}
-	return e.encodeBatch(len(reps), func(b []byte, i int) []byte {
-		return appendReplyBody(b, reps[i])
-	})
-}
-
-func (e *binaryFrameEncoder) flush() error { return e.bw.Flush() }
-
-type binaryFrameDecoder struct {
+// frameDecoder reads frames from a stream. One reader goroutine owns each
+// decoder.
+type frameDecoder struct {
 	br      *bufio.Reader
 	scratch []byte
 	// pending holds the not-yet-consumed inner bodies of the last FrameBatch
@@ -266,9 +215,13 @@ type binaryFrameDecoder struct {
 	pending [][]byte
 }
 
+func newFrameDecoder(r io.Reader) *frameDecoder {
+	return &frameDecoder{br: bufio.NewReader(countingReader{r})}
+}
+
 // readFrame reads one length-prefixed frame body into the reused scratch
 // buffer. The returned slice is valid until the next readFrame.
-func (d *binaryFrameDecoder) readFrame() ([]byte, error) {
+func (d *frameDecoder) readFrame() ([]byte, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(d.br, prefix[:]); err != nil {
 		return nil, err
@@ -292,7 +245,7 @@ func (d *binaryFrameDecoder) readFrame() ([]byte, error) {
 // batch frame if any remain, otherwise a fresh frame — unpacking it first if
 // it is a FrameBatch. Callers see a flat stream of request/reply bodies; the
 // read loops never know whether the peer batched.
-func (d *binaryFrameDecoder) nextBody() ([]byte, error) {
+func (d *frameDecoder) nextBody() ([]byte, error) {
 	if len(d.pending) > 0 {
 		body := d.pending[0]
 		d.pending = d.pending[1:]
@@ -388,7 +341,7 @@ func (c *wireCursor) byte() byte {
 	return v
 }
 
-func (d *binaryFrameDecoder) decodeRequest(env *tcpEnvelope) error {
+func (d *frameDecoder) decodeRequest(env *tcpEnvelope) error {
 	body, err := d.nextBody()
 	if err != nil {
 		return err
@@ -411,7 +364,7 @@ func (d *binaryFrameDecoder) decodeRequest(env *tcpEnvelope) error {
 	return c.err
 }
 
-func (d *binaryFrameDecoder) decodeReply(rep *tcpReply) error {
+func (d *frameDecoder) decodeReply(rep *tcpReply) error {
 	body, err := d.nextBody()
 	if err != nil {
 		return err
@@ -429,68 +382,4 @@ func (d *binaryFrameDecoder) decodeReply(rep *tcpReply) error {
 		rep.Resp.Payload = nil
 	}
 	return c.err
-}
-
-// --- gob format (legacy) ---
-
-type gobFrameEncoder struct {
-	bw  *bufio.Writer
-	enc *gob.Encoder
-}
-
-func (e *gobFrameEncoder) encodeRequest(env tcpEnvelope) error {
-	codecStats.wireEncodes.Add(1)
-	recordFrameEnvelopes(1)
-	return e.enc.Encode(env)
-}
-
-func (e *gobFrameEncoder) encodeReply(rep tcpReply) error {
-	codecStats.wireEncodes.Add(1)
-	recordFrameEnvelopes(1)
-	return e.enc.Encode(rep)
-}
-
-// The gob stream has no batch framing: batching still amortizes the flush
-// syscall (one Flush per drained queue), but each envelope is its own gob
-// value so the legacy format stays decodable by older peers.
-func (e *gobFrameEncoder) encodeRequestBatch(envs []tcpEnvelope) error {
-	for _, env := range envs {
-		if err := e.encodeRequest(env); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *gobFrameEncoder) encodeReplyBatch(reps []tcpReply) error {
-	for _, rep := range reps {
-		if err := e.encodeReply(rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *gobFrameEncoder) flush() error { return e.bw.Flush() }
-
-type gobFrameDecoder struct {
-	dec *gob.Decoder
-}
-
-func (d *gobFrameDecoder) decodeRequest(env *tcpEnvelope) error {
-	*env = tcpEnvelope{}
-	if err := d.dec.Decode(env); err != nil {
-		return err
-	}
-	codecStats.wireDecodes.Add(1)
-	return nil
-}
-
-func (d *gobFrameDecoder) decodeReply(rep *tcpReply) error {
-	*rep = tcpReply{}
-	if err := d.dec.Decode(rep); err != nil {
-		return err
-	}
-	codecStats.wireDecodes.Add(1)
-	return nil
 }

@@ -2,11 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"testing"
-
-	"github.com/ares-storage/ares/internal/types"
 )
 
 // sampleEnvelopes is a representative mix of quorum-phase traffic: small
@@ -28,96 +25,70 @@ func sampleReplies() []tcpReply {
 	}
 }
 
-// TestWireRoundTrip pins that both formats decode exactly what they encoded,
-// in both frame directions.
-func TestWireRoundTrip(t *testing.T) {
-	t.Parallel()
-	for _, format := range []WireFormat{WireBinary, WireGob} {
-		format := format
-		t.Run(string(format), func(t *testing.T) {
-			t.Parallel()
-			var buf bytes.Buffer
-			enc := newFrameEncoder(format, &buf)
-			for _, env := range sampleEnvelopes() {
-				if err := enc.encodeRequest(env); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, rep := range sampleReplies() {
-				if err := enc.encodeReply(rep); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := enc.flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			dec := newFrameDecoder(format, &buf)
-			for _, want := range sampleEnvelopes() {
-				var got tcpEnvelope
-				if err := dec.decodeRequest(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("request round trip:\n got %+v\nwant %+v", got, want)
-				}
-			}
-			for _, want := range sampleReplies() {
-				var got tcpReply
-				if err := dec.decodeReply(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("reply round trip:\n got %+v\nwant %+v", got, want)
-				}
-			}
-		})
-	}
-}
-
-// encodeAll returns the total stream bytes for the sample traffic in one
-// format — a stream, not per-frame, so gob's amortized type dictionary is
-// charged the way a real connection pays it.
-func encodeAll(t *testing.T, format WireFormat, repeat int) int {
+// encodeFrames writes each envelope as its own plain frame (a batch of one)
+// and flushes.
+func encodeFrames[T wireEnvelope](t testing.TB, enc *frameEncoder, vs []T) {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := newFrameEncoder(format, &buf)
-	id := uint64(0)
-	for i := 0; i < repeat; i++ {
-		for _, env := range sampleEnvelopes() {
-			id++
-			env.ID = id
-			if err := enc.encodeRequest(env); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, rep := range sampleReplies() {
-			id++
-			rep.ID = id
-			if err := enc.encodeReply(rep); err != nil {
-				t.Fatal(err)
-			}
+	for _, v := range vs {
+		if err := encodeBatch(enc, []T{v}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := enc.flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Len()
 }
 
-// TestWireBinarySmallerThanGob pins the tentpole's size claim: the binary
-// format beats the gob stream on bytes per frame — even over a long stream
-// where gob's per-stream type dictionary is fully amortized.
-func TestWireBinarySmallerThanGob(t *testing.T) {
+// TestWireRoundTrip pins that the codec decodes exactly what it encoded, in
+// both frame directions.
+func TestWireRoundTrip(t *testing.T) {
 	t.Parallel()
-	const repeat = 100
-	frames := repeat * (len(sampleEnvelopes()) + len(sampleReplies()))
-	binaryBytes := encodeAll(t, WireBinary, repeat)
-	gobBytes := encodeAll(t, WireGob, repeat)
-	t.Logf("binary %d B (%d B/frame), gob %d B (%d B/frame)",
-		binaryBytes, binaryBytes/frames, gobBytes, gobBytes/frames)
-	if binaryBytes >= gobBytes {
-		t.Fatalf("binary stream (%d B) not smaller than gob stream (%d B)", binaryBytes, gobBytes)
+	t.Run("binary", func(t *testing.T) {
+		t.Parallel()
+		var buf bytes.Buffer
+		enc := newFrameEncoder(&buf)
+		encodeFrames(t, enc, sampleEnvelopes())
+		encodeFrames(t, enc, sampleReplies())
+
+		dec := newFrameDecoder(&buf)
+		for _, want := range sampleEnvelopes() {
+			var got tcpEnvelope
+			if err := dec.decodeRequest(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("request round trip:\n got %+v\nwant %+v", got, want)
+			}
+		}
+		for _, want := range sampleReplies() {
+			var got tcpReply
+			if err := dec.decodeReply(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reply round trip:\n got %+v\nwant %+v", got, want)
+			}
+		}
+	})
+}
+
+// TestWireSizeIsExact pins bodySize and wireSize against the bytes the codec
+// really emits: the batch encoder writes bodySize as the inner length
+// prefix, and the frame-limit checks trust wireSize.
+func TestWireSizeIsExact(t *testing.T) {
+	t.Parallel()
+	envs := append(sampleEnvelopes(), tcpEnvelope{ID: 1 << 40, From: "c", Req: Request{Payload: make([]byte, 300)}})
+	for _, env := range envs {
+		body := env.appendBody(nil)
+		if env.bodySize() != len(body) || wireSize(env) != len(appendWireBytes(nil, body)) {
+			t.Fatalf("request %d: bodySize %d, wireSize %d; encoded body is %d bytes", env.ID, env.bodySize(), wireSize(env), len(body))
+		}
+	}
+	for _, rep := range append(sampleReplies(), tcpReply{ID: 1 << 20, Resp: Response{Payload: make([]byte, 200)}}) {
+		body := rep.appendBody(nil)
+		if rep.bodySize() != len(body) || wireSize(rep) != len(appendWireBytes(nil, body)) {
+			t.Fatalf("reply %d: bodySize %d, wireSize %d; encoded body is %d bytes", rep.ID, rep.bodySize(), wireSize(rep), len(body))
+		}
 	}
 }
 
@@ -127,17 +98,9 @@ func TestWireCountsIntoCodecStats(t *testing.T) {
 	// Not parallel: codec counters are process-wide.
 	before := CodecStats()
 	var buf bytes.Buffer
-	enc := newFrameEncoder(WireBinary, &buf)
-	for _, env := range sampleEnvelopes() {
-		if err := enc.encodeRequest(env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.flush(); err != nil {
-		t.Fatal(err)
-	}
+	encodeFrames(t, newFrameEncoder(&buf), sampleEnvelopes())
 	wrote := buf.Len()
-	dec := newFrameDecoder(WireBinary, &buf)
+	dec := newFrameDecoder(&buf)
 	for range sampleEnvelopes() {
 		var env tcpEnvelope
 		if err := dec.decodeRequest(&env); err != nil {
@@ -164,7 +127,7 @@ func TestWireCountsIntoCodecStats(t *testing.T) {
 func TestWireRejectsOversizedFrame(t *testing.T) {
 	t.Parallel()
 	buf := []byte{0xFF, 0xFF, 0xFF, 0xFF} // ~4 GiB frame
-	dec := newFrameDecoder(WireBinary, bytes.NewReader(buf))
+	dec := newFrameDecoder(bytes.NewReader(buf))
 	var env tcpEnvelope
 	if err := dec.decodeRequest(&env); err == nil {
 		t.Fatal("oversized frame length was accepted")
@@ -176,17 +139,11 @@ func TestWireRejectsOversizedFrame(t *testing.T) {
 func TestWireRejectsTruncatedFrame(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	enc := newFrameEncoder(WireBinary, &buf)
-	if err := enc.encodeRequest(sampleEnvelopes()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.flush(); err != nil {
-		t.Fatal(err)
-	}
+	encodeFrames(t, newFrameEncoder(&buf), sampleEnvelopes()[:1])
 	full := buf.Bytes()
 	// Keep the 4-byte length prefix intact but drop the tail of the body.
 	cut := append([]byte(nil), full[:len(full)-3]...)
-	dec := newFrameDecoder(WireBinary, bytes.NewReader(cut))
+	dec := newFrameDecoder(bytes.NewReader(cut))
 	var env tcpEnvelope
 	if err := dec.decodeRequest(&env); err == nil {
 		t.Fatal("truncated frame was accepted")
@@ -198,50 +155,10 @@ func TestWireRejectsTruncatedFrame(t *testing.T) {
 func TestWireKindMismatch(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	enc := newFrameEncoder(WireBinary, &buf)
-	if err := enc.encodeReply(sampleReplies()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := newFrameDecoder(WireBinary, &buf)
+	encodeFrames(t, newFrameEncoder(&buf), sampleReplies()[:1])
+	dec := newFrameDecoder(&buf)
 	var env tcpEnvelope
 	if err := dec.decodeRequest(&env); err == nil {
 		t.Fatal("reply frame decoded as request")
-	}
-}
-
-// TestParseWireFormat covers the flag surface ares-server exposes.
-func TestParseWireFormat(t *testing.T) {
-	t.Parallel()
-	for in, want := range map[string]WireFormat{"": WireBinary, "binary": WireBinary, "gob": WireGob} {
-		got, err := ParseWireFormat(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseWireFormat(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseWireFormat("protobuf"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
-// TestTCPGobWireEndToEnd runs a round trip over real sockets with the legacy
-// gob framing, pinning that -wire gob remains a working configuration.
-func TestTCPGobWireEndToEnd(t *testing.T) {
-	t.Parallel()
-	srv, err := NewTCPServer("s1", "127.0.0.1:0", echoHandler(nil), WithWireFormat(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := NewTCPClient("c1", StaticBook(map[types.ProcessID]string{"s1": srv.Addr()}), WithWireFormat(WireGob))
-	defer client.Close()
-	resp, err := client.Invoke(context.Background(), "s1", Request{Service: "svc", Type: "echo", Payload: []byte("gob wire")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || string(resp.Payload) != "gob wire" {
-		t.Fatalf("resp = %+v", resp)
 	}
 }

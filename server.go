@@ -2,7 +2,6 @@ package ares
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/ares-storage/ares/internal/core"
 	"github.com/ares-storage/ares/internal/keystate"
@@ -28,47 +27,15 @@ type Server struct {
 // deployments distribute a static book (flag/file) to every process.
 type AddressBook = map[ProcessID]string
 
-// TCPOption tunes the TCP data plane (wire format, dial timeout, handler
-// bounds, queue depths) of NewServer and NewTCPClient.
+// TCPOption tunes the TCP data plane (dial timeout, handler bounds, queue
+// depths, batch limits) of NewServer and NewTCPClient.
 type TCPOption = transport.TCPOption
-
-// WireFormat selects the TCP frame encoding: WireBinary (compact
-// length-prefixed framing, the default) or WireGob (legacy gob streams).
-// Every process of a deployment must use the same format.
-type WireFormat = transport.WireFormat
-
-const (
-	// WireBinary is the compact length-prefixed binary wire format.
-	WireBinary = transport.WireBinary
-	// WireGob is the legacy gob stream wire format.
-	WireGob = transport.WireGob
-)
-
-// WithWireFormat selects the wire format for a server or client.
-func WithWireFormat(f WireFormat) TCPOption { return transport.WithWireFormat(f) }
-
-// WithBatching toggles cross-key envelope coalescing on the TCP data plane
-// (default on): a connection's writer packs every queued envelope for its
-// peer — across keys and phases — into batched frames and flushes once per
-// burst. Disable it for the unbatched baseline (ares-server -nobatch): one
-// frame and one flush per envelope.
-func WithBatching(enabled bool) TCPOption { return transport.WithBatching(enabled) }
 
 // WithBatchLimits caps one batched frame at maxEnvelopes envelopes and
 // approximately maxBytes of payload (defaults 64 and 128 KiB).
 func WithBatchLimits(maxEnvelopes, maxBytes int) TCPOption {
 	return transport.WithBatchLimits(maxEnvelopes, maxBytes)
 }
-
-// WithFlushInterval switches the data-plane writers from flush-per-burst to
-// timer-paced flushing: an open batch is held until a WithBatchLimits cap is
-// hit or d has elapsed since its first envelope. Bounded added latency (at
-// most d per op) buys bigger batches under trickling load; zero (the
-// default) keeps the burst-drain behavior.
-func WithFlushInterval(d time.Duration) TCPOption { return transport.WithFlushInterval(d) }
-
-// ParseWireFormat converts a flag value ("binary", "gob") into a WireFormat.
-func ParseWireFormat(s string) (WireFormat, error) { return transport.ParseWireFormat(s) }
 
 // Durability configures the server's persistent state. A zero Dir leaves the
 // server in-memory (the pre-durability behavior); a non-zero Dir makes every
