@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/ares-storage/ares/internal/adaptive"
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/core"
 	"github.com/ares-storage/ares/internal/recon"
@@ -89,39 +88,6 @@ func WithDelayRange(min, max time.Duration) NetworkOption {
 func WithSeed(seed int64) NetworkOption {
 	return transport.WithSeed(seed)
 }
-
-// WithBandwidth adds a size-dependent term to every simulated delivery:
-// perByte per payload byte, on both the request and the response leg. It
-// models link bandwidth the way the delay range models propagation, and is
-// what makes large-object experiments honest — an erasure-coded fragment
-// (≈ size/k) genuinely costs less to move than a full replica copy.
-func WithBandwidth(perByte time.Duration) NetworkOption {
-	return transport.WithBandwidth(perByte)
-}
-
-// Self-driving reconfiguration surface: the per-key telemetry classes and
-// policy of internal/adaptive, re-exported for WithAdaptive callers.
-type (
-	// AdaptiveClass is the controller's verdict on how a key should be
-	// configured; AdaptiveSpec.Profiles maps classes to configurations.
-	AdaptiveClass = adaptive.Class
-	// AdaptivePolicy holds the controller's thresholds and damping.
-	AdaptivePolicy = adaptive.Policy
-	// AdaptiveKeyStats is one key's telemetry over a sampling window.
-	AdaptiveKeyStats = adaptive.KeyStats
-)
-
-// The workload classes the adaptive controller distinguishes.
-const (
-	// ClassDefault keeps the deployment template's configuration.
-	ClassDefault = adaptive.ClassDefault
-	// ClassSmallHot marks small, hot objects (→ e.g. ABD n=3).
-	ClassSmallHot = adaptive.ClassSmallHot
-	// ClassLargeCold marks large objects (→ e.g. wide TREAS [n, k]).
-	ClassLargeCold = adaptive.ClassLargeCold
-	// ClassFaulty marks keys under a fault spike (→ more redundancy).
-	ClassFaulty = adaptive.ClassFaulty
-)
 
 // NewCluster deploys the initial configuration c0 on net and returns the
 // cluster handle. Additional servers named in later configurations must be

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/ares-storage/ares/internal/adaptive"
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/core"
 	"github.com/ares-storage/ares/internal/history"
@@ -44,9 +42,6 @@ type KeyVerdict struct {
 	Note         string   `json:"note,omitempty"`
 	Linearizable bool     `json:"linearizable"`
 	Violations   []string `json:"violations,omitempty"`
-	// Class is the adaptive controller's final class for the key (adaptive
-	// scenarios only).
-	Class string `json:"class,omitempty"`
 }
 
 // Verdict is the machine-readable outcome of one chaos run: what ran, under
@@ -62,10 +57,7 @@ type Verdict struct {
 	Incomplete     int     `json:"incomplete"`
 	Reconfigs      int     `json:"reconfigs"`
 	ReconfigErrors int     `json:"reconfig_errors"`
-	// AutoReconfigs counts reconfigurations the adaptive controller applied
-	// on its own (telemetry-driven, no scripted chain).
-	AutoReconfigs int  `json:"auto_reconfigs,omitempty"`
-	Linearizable  bool `json:"linearizable"`
+	Linearizable   bool    `json:"linearizable"`
 	// ServerStates and RetiredStates account the configuration-lifecycle GC:
 	// live (key, config) state entries retained across the cluster's servers
 	// at the end of the run, and entries garbage-collected during it.
@@ -138,53 +130,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		readers = 1
 	}
 
-	// Workload phases: normalize the declared fractions over the (stretched)
-	// duration into absolute boundaries, so workers can look up their current
-	// phase from elapsed time alone.
-	type phaseWindow struct {
-		until time.Duration
-		WorkloadPhase
-	}
-	var phases []phaseWindow
-	if len(sc.Phases) > 0 {
-		total := 0.0
-		for _, p := range sc.Phases {
-			if p.Frac > 0 {
-				total += p.Frac
-			} else {
-				total++
-			}
-		}
-		acc := time.Duration(0)
-		for _, p := range sc.Phases {
-			f := p.Frac
-			if f <= 0 {
-				f = 1
-			}
-			acc += time.Duration(float64(duration) * f / total)
-			phases = append(phases, phaseWindow{until: acc, WorkloadPhase: p})
-		}
-	}
-	phaseAt := func(elapsed time.Duration) WorkloadPhase {
-		for _, w := range phases {
-			if elapsed < w.until {
-				return w.WorkloadPhase
-			}
-		}
-		if len(phases) > 0 {
-			return phases[len(phases)-1].WorkloadPhase
-		}
-		return WorkloadPhase{}
-	}
-	// padValue grows a unique op value to the current phase's size; the
-	// prefix keeps it unique, so value-based history checking still works.
-	padValue := func(prefix string, n int) types.Value {
-		if n <= len(prefix) {
-			return types.Value(prefix)
-		}
-		return types.Value(prefix + "/" + strings.Repeat(".", n-len(prefix)-1))
-	}
-
 	netOpts := []transport.SimnetOption{
 		transport.WithDelayRange(sc.Delay.Min, sc.Delay.Max),
 		transport.WithSeed(seed),
@@ -221,16 +166,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 			cluster.AddHost(s)
 		}
 	}
-	// adaptiveClasses iterates profile classes in a fixed order so host
-	// deployment and env construction are deterministic under a seed.
-	adaptiveClasses := []adaptive.Class{adaptive.ClassDefault, adaptive.ClassSmallHot, adaptive.ClassLargeCold, adaptive.ClassFaulty}
-	if sc.AdaptiveProfiles != nil {
-		for _, class := range adaptiveClasses {
-			for _, s := range sc.AdaptiveProfiles[class].Servers {
-				cluster.AddHost(s)
-			}
-		}
-	}
 	fabric := Fabric{
 		Net: net,
 		Restart: func(id types.ProcessID) error {
@@ -256,7 +191,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 	writerID := func(k, i int) types.ProcessID { return types.ProcessID(fmt.Sprintf("cw%d-%s", i, keyName(k))) }
 	readerID := func(k, i int) types.ProcessID { return types.ProcessID(fmt.Sprintf("cr%d-%s", i, keyName(k))) }
 	reconID := func(k int) types.ProcessID { return types.ProcessID("g-" + keyName(k)) }
-	autoReconID := func(k int) types.ProcessID { return types.ProcessID("ag-" + keyName(k)) }
 	for k := 0; k < keys; k++ {
 		for i := 0; i < writers; i++ {
 			clients = append(clients, writerID(k, i))
@@ -267,9 +201,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		if reconfigures(k) {
 			clients = append(clients, reconID(k))
 		}
-		if sc.AdaptiveProfiles != nil {
-			clients = append(clients, autoReconID(k))
-		}
 	}
 	env := Env{
 		Servers:    append([]types.ProcessID(nil), sc.Template.Servers...),
@@ -278,11 +209,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 	}
 	for _, tmpl := range sc.Chain {
 		env.AllServers = append(env.AllServers, tmpl.Servers...)
-	}
-	if sc.AdaptiveProfiles != nil {
-		for _, class := range adaptiveClasses {
-			env.AllServers = append(env.AllServers, sc.AdaptiveProfiles[class].Servers...)
-		}
 	}
 	var schedule Schedule
 	if sc.Schedule != nil {
@@ -310,22 +236,11 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 	defer cancel()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var opErrs, reconfigs, reconfigErrs, autoReconfigs atomic.Int64
+	var opErrs, reconfigs, reconfigErrs atomic.Int64
 
 	reconTimeout := 4 * opTimeout
 	if reconTimeout < time.Second {
 		reconTimeout = time.Second
-	}
-
-	// Adaptive plumbing: the workload records per-key telemetry into the
-	// sampler; the controller drains it each tick and reconfigures keys
-	// through their own reconfiguration clients.
-	var sampler *adaptive.Sampler
-	var autoRecon map[string]*recon.Client
-	var autoGen atomic.Int64
-	if sc.AdaptiveProfiles != nil {
-		sampler = adaptive.NewSampler()
-		autoRecon = make(map[string]*recon.Client, keys)
 	}
 
 	stopped := func() bool {
@@ -334,16 +249,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 			return true
 		default:
 			return false
-		}
-	}
-	// pace sleeps the current phase's inter-op delay, cut short by stop.
-	pace := func(d time.Duration) {
-		if d <= 0 {
-			return
-		}
-		select {
-		case <-stop:
-		case <-time.After(d):
 		}
 	}
 	// setupFail aborts a partially-launched run: without the close, already
@@ -355,55 +260,31 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		return Verdict{}, err
 	}
 
-	workStart := time.Now()
 	for k := 0; k < keys; k++ {
 		k := k
-		key := keyName(k)
 		rec := recorders[k]
 		conf := keyConf(k)
-		// opSink attributes round/retry telemetry to the key (adaptive runs).
-		opSink := func(c *core.Client) {
-			if sampler == nil {
-				return
-			}
-			c.SetOpSink(func(st core.OpStats) {
-				if st.Read {
-					sampler.RecordReadRounds(key, st.Rounds, st.FastPath)
-				}
-				sampler.RecordRetries(key, st.Retries)
-			})
-		}
 		for i := 0; i < writers; i++ {
 			id := writerID(k, i)
 			client, err := cluster.NewClientFor(id, conf)
 			if err != nil {
 				return setupFail(err)
 			}
-			opSink(client)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for seq := 0; !stopped(); seq++ {
-					ph := phaseAt(time.Since(workStart))
-					v := padValue(fmt.Sprintf("%s/%d", id, seq), ph.ValueBytes)
+					v := types.Value(fmt.Sprintf("%s/%d", id, seq))
 					p := rec.BeginWrite(id, v)
 					opCtx, opCancel := context.WithTimeout(ctx, opTimeout)
-					opStart := time.Now()
 					t, err := client.Write(opCtx, v)
 					opCancel()
 					if err != nil {
 						p.Fail() // unacknowledged: may or may not have taken effect
 						opErrs.Add(1)
-						if sampler != nil {
-							sampler.RecordFailure(key)
-						}
 						continue
 					}
 					p.Done(t, v)
-					if sampler != nil {
-						sampler.RecordWrite(key, len(v), time.Since(opStart))
-					}
-					pace(ph.WritePace)
 				}
 			}()
 		}
@@ -413,39 +294,22 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 			if err != nil {
 				return setupFail(err)
 			}
-			opSink(client)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for !stopped() {
-					ph := phaseAt(time.Since(workStart))
 					p := rec.BeginRead(id)
 					opCtx, opCancel := context.WithTimeout(ctx, opTimeout)
-					opStart := time.Now()
 					pair, err := client.Read(opCtx)
 					opCancel()
 					if err != nil {
 						p.Fail()
 						opErrs.Add(1)
-						if sampler != nil {
-							sampler.RecordFailure(key)
-						}
 						continue
 					}
 					p.Done(pair.Tag, pair.Value)
-					if sampler != nil {
-						sampler.RecordRead(key, len(pair.Value), time.Since(opStart))
-					}
-					pace(ph.ReadPace)
 				}
 			}()
-		}
-		if sc.AdaptiveProfiles != nil {
-			g, err := cluster.NewReconfigurerFor(autoReconID(k), conf, recon.Options{DirectTransfer: true})
-			if err != nil {
-				return setupFail(err)
-			}
-			autoRecon[key] = g
 		}
 		if reconfigures(k) {
 			g, err := cluster.NewReconfigurerFor(reconID(k), conf, recon.Options{DirectTransfer: true})
@@ -490,45 +354,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		}
 	}
 
-	// The controller closes the loop: drain telemetry, classify, and move
-	// confirmed keys to their class profile through that key's own
-	// reconfiguration client — exactly the walk the scripted Chain performs,
-	// but decided by the live workload.
-	var controller *adaptive.Controller
-	if sc.AdaptiveProfiles != nil {
-		apply := func(applyCtx context.Context, key string, class adaptive.Class) error {
-			profile, ok := sc.AdaptiveProfiles[class]
-			if !ok || len(profile.Servers) == 0 {
-				return nil // class accepted; no profile to move to
-			}
-			g := autoRecon[key]
-			if g == nil {
-				return nil
-			}
-			target := profile
-			target.ID = cfg.ID(fmt.Sprintf("chaos/%s/%s/auto%d", sc.Name, key, autoGen.Add(1)))
-			opCtx, opCancel := context.WithTimeout(applyCtx, reconTimeout)
-			defer opCancel()
-			_, err := g.Reconfig(opCtx, target)
-			// Same tolerance as the scripted walk: a retried attempt may find
-			// the proposal already decided — the configuration is reachable.
-			if err == nil || errors.Is(err, recon.ErrSameConfiguration) {
-				autoReconfigs.Add(1)
-				logf("chaos: %s: key %s auto-reconfigured to %s (%s)", sc.Name, key, target.ID, class)
-				return nil
-			}
-			reconfigErrs.Add(1)
-			return err
-		}
-		controller = adaptive.NewController(sampler, sc.AdaptivePolicy, apply,
-			adaptive.WithLogf(func(format string, args ...any) { logf("chaos: "+sc.Name+": "+format, args...) }))
-		interval := sc.AdaptiveInterval
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
-		controller.Start(ctx, interval)
-	}
-
 	start := time.Now()
 	schedDone := make(chan struct{})
 	go func() {
@@ -540,9 +365,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 	close(stop)
 	wg.Wait()
 	<-schedDone
-	if controller != nil {
-		controller.Stop()
-	}
 
 	// Lifecycle GC accounting. Finalization gossip is asynchronous, so give
 	// the cluster a short window to settle onto the bound before reading the
@@ -565,7 +387,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		OpErrors:       int(opErrs.Load()),
 		Reconfigs:      int(reconfigs.Load()),
 		ReconfigErrors: int(reconfigErrs.Load()),
-		AutoReconfigs:  int(autoReconfigs.Load()),
 		Linearizable:   true,
 		ServerStates:   states,
 		RetiredStates:  cluster.RetiredStates(),
@@ -593,9 +414,6 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 			Note:         rep.Note,
 			Linearizable: rep.Linearizable,
 		}
-		if controller != nil {
-			kv.Class = controller.Class(keyName(k)).String()
-		}
 		for _, viol := range rep.Violations {
 			kv.Violations = append(kv.Violations, viol.Error())
 		}
@@ -606,8 +424,8 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		}
 		verdict.Keys = append(verdict.Keys, kv)
 	}
-	logf("chaos: %s: %d ops (%d incomplete, %d op errors, %d reconfigs, %d auto) linearizable=%v states=%d retired=%d seed=%d",
-		sc.Name, verdict.Ops, verdict.Incomplete, verdict.OpErrors, verdict.Reconfigs, verdict.AutoReconfigs,
+	logf("chaos: %s: %d ops (%d incomplete, %d op errors, %d reconfigs) linearizable=%v states=%d retired=%d seed=%d",
+		sc.Name, verdict.Ops, verdict.Incomplete, verdict.OpErrors, verdict.Reconfigs,
 		verdict.Linearizable, verdict.ServerStates, verdict.RetiredStates, seed)
 	return verdict, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/ares-storage/ares/internal/adaptive"
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/types"
@@ -21,22 +20,6 @@ type Env struct {
 	// Clients are the client-side processes: workload writers/readers and
 	// the per-key reconfigurers.
 	Clients []types.ProcessID
-}
-
-// WorkloadPhase is one consecutive segment of a scenario's workload window
-// with its own value sizing and pacing — the mechanism behind workload-shift
-// scenarios, where the interesting adversity is the change itself.
-type WorkloadPhase struct {
-	// Frac is the phase's share of the run duration, normalized over all
-	// phases (1/1/2 splits the window 25/25/50).
-	Frac float64
-	// ValueBytes pads writer values up to this size; the unique
-	// writer/sequence prefix survives the padding, so value-based
-	// linearizability checking is unaffected. Zero writes the bare prefix.
-	ValueBytes int
-	// WritePace and ReadPace insert a sleep between one client's operations
-	// (zero = unpaced): hot phases hammer, cold phases trickle.
-	WritePace, ReadPace time.Duration
 }
 
 // Scenario declares one adversarial execution: a deployment shape, a
@@ -87,22 +70,6 @@ type Scenario struct {
 	// ungarbage-collected total (O(walks) states) and above the live window
 	// (O(live configs)), so a GC regression flips the verdict.
 	MaxStatesPerKey int
-	// Phases splits the workload window into consecutive segments with their
-	// own value sizing and pacing (see WorkloadPhase); empty keeps the
-	// uniform small-value hammer.
-	Phases []WorkloadPhase
-	// AdaptiveProfiles, when non-nil, runs the telemetry-fed controller
-	// against the workload: each key is sampled live and automatically
-	// reconfigured to the profile of its current class. Profiles may reuse
-	// the template's servers or name additional ones (deployed by the
-	// runner). A class without a profile keeps the key where it is.
-	AdaptiveProfiles map[adaptive.Class]cfg.Configuration
-	// AdaptivePolicy tunes the controller's thresholds and hysteresis; the
-	// zero value takes adaptive.Policy defaults (tuned for production
-	// cadences — scenarios usually shrink Cooldown and ConfirmWindows).
-	AdaptivePolicy adaptive.Policy
-	// AdaptiveInterval is the controller tick; zero defaults to 100ms.
-	AdaptiveInterval time.Duration
 	// Schedule builds the fault timeline for the deployed processes; nil
 	// means a fault-free run.
 	Schedule func(env Env) Schedule
@@ -125,13 +92,6 @@ func treasTemplate(prefix string, n, k, delta int) cfg.Configuration {
 // abdTemplate builds an ABD n-replica per-key configuration template.
 func abdTemplate(prefix string, n int) cfg.Configuration {
 	return cfg.Configuration{Algorithm: cfg.ABD, Servers: servers(prefix, n)}
-}
-
-// abdSubset builds an ABD configuration on the first n of a prefix's `of`
-// servers — an adaptive profile that shrinks a key onto a slice of the
-// deployment instead of naming new machines.
-func abdSubset(prefix string, n, of int) cfg.Configuration {
-	return cfg.Configuration{Algorithm: cfg.ABD, Servers: servers(prefix, of)[:n]}
 }
 
 // Matrix returns the built-in scenario matrix — the adversarial executions
@@ -346,111 +306,6 @@ func Matrix() []Scenario {
 				return Schedule{
 					{At: 200 * time.Millisecond, Kind: EvDefaultFaults, Faults: spike},
 					{At: 600 * time.Millisecond, Kind: EvClearFaults},
-				}
-			},
-		},
-		{
-			Name: "adaptive-mix-flip",
-			Description: "the workload flips mid-run from hammering 64B values to trickling 16KiB values; the telemetry controller must move each key " +
-				"TREAS→ABD3 for the hot small phase and back to a wide TREAS for the large phase, with linearizability verified across every automatic reconfiguration",
-			Template: treasTemplate("amf", 5, 3, 8),
-			Keys:     2, Writers: 2, Readers: 2,
-			Duration: 1600 * time.Millisecond,
-			Delay:    transport.DelayRange{Max: time.Millisecond},
-			Phases: []WorkloadPhase{
-				{Frac: 1, ValueBytes: 64},
-				{Frac: 1, ValueBytes: 16 << 10, WritePace: 10 * time.Millisecond, ReadPace: 10 * time.Millisecond},
-			},
-			AdaptiveProfiles: map[adaptive.Class]cfg.Configuration{
-				adaptive.ClassDefault:   treasTemplate("amf", 5, 3, 8),
-				adaptive.ClassSmallHot:  abdSubset("amf", 3, 5),
-				adaptive.ClassLargeCold: treasTemplate("amf", 5, 3, 8),
-				adaptive.ClassFaulty:    abdTemplate("amf", 5),
-			},
-			AdaptivePolicy: adaptive.Policy{
-				SmallObjectBytes: 512, LargeObjectBytes: 4096, HotOps: 8,
-				ConfirmWindows: 2, Cooldown: 150 * time.Millisecond,
-			},
-			AdaptiveInterval: 80 * time.Millisecond,
-			MaxStatesPerKey:  70,
-			Schedule: func(env Env) Schedule {
-				// A one-way link loss mid-run: quorums route around it in both
-				// the narrow ABD and the wide TREAS configurations without
-				// inflating the fault signal into a ClassFaulty flip.
-				return Schedule{
-					{At: 300 * time.Millisecond, Kind: EvBlockLink, From: env.Clients[0], To: env.Servers[0]},
-					{At: 700 * time.Millisecond, Kind: EvUnblockLink, From: env.Clients[0], To: env.Servers[0]},
-				}
-			},
-		},
-		{
-			Name: "adaptive-fault-spike",
-			Description: "a steady small-value workload suffers a 25% message-drop spike; the controller must escalate keys to the maximum-redundancy " +
-				"ABD 5 profile while the spike lasts and step back down after it clears — availability-driven reconfiguration under the same faults it reacts to",
-			Template: treasTemplate("afs", 5, 3, 8),
-			Keys:     2, Writers: 2, Readers: 2,
-			Duration:  1400 * time.Millisecond,
-			Delay:     transport.DelayRange{Max: time.Millisecond},
-			OpTimeout: 200 * time.Millisecond,
-			Phases: []WorkloadPhase{
-				{Frac: 1, ValueBytes: 64},
-			},
-			AdaptiveProfiles: map[adaptive.Class]cfg.Configuration{
-				adaptive.ClassDefault:   treasTemplate("afs", 5, 3, 8),
-				adaptive.ClassSmallHot:  abdSubset("afs", 3, 5),
-				adaptive.ClassLargeCold: treasTemplate("afs", 5, 3, 8),
-				adaptive.ClassFaulty:    abdTemplate("afs", 5),
-			},
-			AdaptivePolicy: adaptive.Policy{
-				SmallObjectBytes: 512, LargeObjectBytes: 4096, HotOps: 8, FaultRatio: 0.15,
-				ConfirmWindows: 2, Cooldown: 120 * time.Millisecond,
-			},
-			AdaptiveInterval: 70 * time.Millisecond,
-			MaxStatesPerKey:  70,
-			Schedule: func(env Env) Schedule {
-				return Schedule{
-					{At: 400 * time.Millisecond, Kind: EvDefaultFaults, Faults: transport.LinkFaults{Drop: 0.25}},
-					{At: 900 * time.Millisecond, Kind: EvClearFaults},
-				}
-			},
-		},
-		{
-			Name: "adaptive-size-growth-gc",
-			Description: "values flip small→large→small→large across four phases, driving ~4 automatic reconfigurations per key; the controller's churn " +
-				"must stay inside the lifecycle-GC envelope — retained per-key state bounded below the keep-everything total while every key stays linearizable",
-			Template: abdTemplate("asg", 5),
-			Keys:     3, Writers: 1, Readers: 1,
-			Duration: 1800 * time.Millisecond,
-			Delay:    transport.DelayRange{Max: time.Millisecond},
-			Phases: []WorkloadPhase{
-				{Frac: 1, ValueBytes: 64},
-				{Frac: 1, ValueBytes: 16 << 10, WritePace: 8 * time.Millisecond, ReadPace: 8 * time.Millisecond},
-				{Frac: 1, ValueBytes: 64},
-				{Frac: 1, ValueBytes: 16 << 10, WritePace: 8 * time.Millisecond, ReadPace: 8 * time.Millisecond},
-			},
-			AdaptiveProfiles: map[adaptive.Class]cfg.Configuration{
-				adaptive.ClassDefault:   abdTemplate("asg", 5),
-				adaptive.ClassSmallHot:  abdSubset("asg", 3, 5),
-				adaptive.ClassLargeCold: treasTemplate("asg", 5, 3, 8),
-				adaptive.ClassFaulty:    abdTemplate("asg", 5),
-			},
-			AdaptivePolicy: adaptive.Policy{
-				SmallObjectBytes: 512, LargeObjectBytes: 4096, HotOps: 8,
-				ConfirmWindows: 2, Cooldown: 150 * time.Millisecond,
-			},
-			AdaptiveInterval: 80 * time.Millisecond,
-			// ~4 moves per key retain ≈ 5 configs × 3 services × 5 servers ≈ 75
-			// states per key with GC off; the live window is ≈ 15 at rest and up
-			// to ≈ 45 with a move mid-flight at the deadline. The bound sits
-			// between, so controller churn escaping the GC envelope flips the
-			// verdict (reconfig-churn-gc stays the high-churn GC detector).
-			MaxStatesPerKey: 55,
-			Schedule: func(env Env) Schedule {
-				minority := env.Servers[3:]
-				rest := append(append([]types.ProcessID{}, env.Servers[:3]...), env.Clients...)
-				return Schedule{
-					{At: 200 * time.Millisecond, Kind: EvPartition, A: minority, B: rest},
-					{At: 400 * time.Millisecond, Kind: EvHeal, A: minority, B: rest},
 				}
 			},
 		},

@@ -86,24 +86,6 @@ func (p RetryPolicy) delayAt(attempt int, frac float64) time.Duration {
 	return time.Duration(d)
 }
 
-// OpStats is the per-operation telemetry a client reports through its sink:
-// how many data rounds the operation spent, whether a read took the one-round
-// fast path, and how many transient retries it burned. The process-wide
-// transport.CodecStats counters record the same signals without attribution;
-// the sink is what lets an ObjectStore (or the adaptive controller behind it)
-// pin them to a key.
-type OpStats struct {
-	// Read distinguishes reads from writes.
-	Read bool
-	// Rounds counts quorum data rounds (get-tag/get-data + put-data).
-	Rounds int
-	// FastPath reports a read that skipped the put-data write-back.
-	FastPath bool
-	// Retries counts transient in-operation retries (TREAS
-	// not-yet-decodable get-data rounds).
-	Retries int
-}
-
 // Client is an ARES reader/writer process (Alg. 7). A client discovers the
 // current configuration sequence through the reconfiguration service's
 // read-config action, queries every configuration from the last finalized
@@ -135,10 +117,6 @@ type Client struct {
 	retry RetryPolicy
 	jmu   sync.Mutex
 	jrng  *rand.Rand
-
-	// sink, when set, receives one OpStats per completed operation attempt.
-	// Like SetRetryPolicy, it must be installed before the client is shared.
-	sink func(OpStats)
 }
 
 // retrySeed derives the default jitter seed for a client: a stable hash of
@@ -182,25 +160,17 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.jrng = rand.New(rand.NewSource(seed))
 }
 
-// SetOpSink installs the per-operation telemetry sink. Call before sharing
-// the client across goroutines; a nil fn disables reporting.
-func (c *Client) SetOpSink(fn func(OpStats)) {
-	c.sink = fn
-}
-
-// report delivers st to the sink, if any, and mirrors it into the
-// process-wide registry (reads are attributed by RecordReadRounds at the
-// call sites, so only the write path and retries are counted here).
-func (c *Client) report(st OpStats) {
-	if !st.Read {
-		clientWrites.Inc()
-		clientWriteRounds.Add(int64(st.Rounds))
+// reportRead mirrors one completed read into the process-wide registry.
+// fastPath reports whether it skipped the put-data write-back on
+// quorum-confirmed propagation.
+func reportRead(rounds, retries int, fastPath bool) {
+	clientReads.Inc()
+	clientReadRounds.Add(int64(rounds))
+	if fastPath {
+		clientReadFastPaths.Inc()
 	}
-	if st.Retries > 0 {
-		clientRetries.Add(int64(st.Retries))
-	}
-	if c.sink != nil {
-		c.sink(st)
+	if retries > 0 {
+		clientRetries.Add(int64(retries))
 	}
 }
 
@@ -285,7 +255,8 @@ func (c *Client) writeOnce(ctx context.Context, value types.Value) (tag.Tag, err
 	if err := c.storeSeq(seq); err != nil {
 		return tag.Tag{}, err
 	}
-	c.report(OpStats{Rounds: rounds})
+	clientWrites.Inc()
+	clientWriteRounds.Add(int64(rounds))
 	return newTag, nil
 }
 
@@ -343,8 +314,7 @@ func (c *Client) readOnce(ctx context.Context) (tag.Pair, error) {
 			if err := c.storeSeq(next); err != nil {
 				return tag.Pair{}, err
 			}
-			transport.RecordReadRounds(rounds, true)
-			c.report(OpStats{Read: true, Rounds: rounds, FastPath: true, Retries: retries})
+			reportRead(rounds, retries, true)
 			return best, nil
 		}
 		seq = next
@@ -357,8 +327,7 @@ func (c *Client) readOnce(ctx context.Context) (tag.Pair, error) {
 	if err := c.storeSeq(seq); err != nil {
 		return tag.Pair{}, err
 	}
-	transport.RecordReadRounds(rounds, false)
-	c.report(OpStats{Read: true, Rounds: rounds, Retries: retries})
+	reportRead(rounds, retries, false)
 	return best, nil
 }
 
@@ -421,7 +390,7 @@ func (c *Client) getDataRetry(ctx context.Context, conf cfg.Configuration) (tag.
 // propagate is the shared tail of read and write (Alg. 7 lines 14–22 /
 // 36–44): put-data into the last configuration, re-read the sequence, and
 // repeat whenever a new configuration appeared meanwhile. It reports how
-// many put-data rounds it performed (the read path adds them to ReadRounds).
+// many put-data rounds it performed (the read path adds them to its own count).
 func (c *Client) propagate(ctx context.Context, seq cfg.Sequence, p tag.Pair) (cfg.Sequence, int, error) {
 	rounds := 0
 	for {

@@ -3,9 +3,9 @@ package core
 // Tests for the one-round read fast path: a quiescent key costs one data
 // round (get-data only, write-back skipped), while a read that observes a
 // tag not yet propagated to a full quorum — the concurrent-write window —
-// still pays the put-data write-back. Round counts are asserted through the
-// process-wide transport.CodecStats read counters, the same surface the
-// bench and CI consume.
+// still pays the put-data write-back. Round counts are read from the
+// process-wide obs registry by metric name — the same names the bench
+// harness scrapes, so renaming or moving a counter fails here first.
 //
 // None of these tests are parallel: the read-round counters are process-wide.
 
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/ares-storage/ares/internal/cfg"
+	"github.com/ares-storage/ares/internal/obs"
 	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/types"
 )
@@ -23,7 +24,7 @@ import (
 // mismatch.
 func readRoundDeltas(t *testing.T, r *Client, want string) (ops, rounds, fast int64) {
 	t.Helper()
-	before := transport.CodecStats()
+	before := obs.Default.Snapshot().Counters
 	pair, err := r.Read(context.Background())
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -31,16 +32,22 @@ func readRoundDeltas(t *testing.T, r *Client, want string) (ops, rounds, fast in
 	if string(pair.Value) != want {
 		t.Fatalf("read %q, want %q", pair.Value, want)
 	}
-	after := transport.CodecStats()
-	return after.ReadOps - before.ReadOps,
-		after.ReadRounds - before.ReadRounds,
-		after.ReadFastPaths - before.ReadFastPaths
+	after := obs.Default.Snapshot().Counters
+	delta := func(name string) int64 {
+		if _, ok := after[name]; !ok {
+			t.Fatalf("counter %s is not registered", name)
+		}
+		return after[name] - before[name]
+	}
+	return delta("ares_client_read_ops_total"),
+		delta("ares_client_read_rounds_total"),
+		delta("ares_client_read_fastpaths_total")
 }
 
 // TestReadFastPathQuiescent pins the tentpole's headline: once a write has
 // settled on every server, a read is one data round — the get-data quorum
 // unanimously holds the max tag, so the put-data write-back is skipped and
-// ReadFastPaths advances.
+// ares_client_read_fastpaths_total advances.
 func TestReadFastPathQuiescent(t *testing.T) {
 	// Not parallel: asserts on process-wide read-round counters.
 	for _, alg := range []struct {

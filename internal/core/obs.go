@@ -2,10 +2,15 @@ package core
 
 import "github.com/ares-storage/ares/internal/obs"
 
-// Client-side operation instruments. Read ops/rounds/fast-paths are
-// attributed by transport.RecordReadRounds (the view CodecStats exposes);
-// these cover the write path and the retry machinery.
+// Client-side operation instruments. The read and write counter names are
+// scraped by the bench harness; fastread_test.go pins the read ones.
 var (
+	clientReads = obs.Default.Counter("ares_client_read_ops_total",
+		"Completed core.Client reads")
+	clientReadRounds = obs.Default.Counter("ares_client_read_rounds_total",
+		"Data rounds taken by completed reads")
+	clientReadFastPaths = obs.Default.Counter("ares_client_read_fastpaths_total",
+		"Reads that skipped the put-data write-back")
 	clientWrites = obs.Default.Counter("ares_client_write_ops_total",
 		"Completed core.Client writes")
 	clientWriteRounds = obs.Default.Counter("ares_client_write_rounds_total",

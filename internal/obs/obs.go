@@ -1,7 +1,7 @@
 // Package obs is the process-wide observability core: one registry of
 // named instruments — counters, gauges, and fixed-bucket latency
-// histograms — that every layer (transport, keystate, core, adaptive,
-// store) registers into instead of keeping hand-rolled stat structs.
+// histograms — that every layer (transport, keystate, core, store)
+// registers into instead of keeping hand-rolled stat structs.
 //
 // Design constraints, in order:
 //

@@ -33,7 +33,7 @@ type AdminHooks struct {
 	// ordinary recon path).
 	Chain func(ctx context.Context, key string) (any, error)
 	// KeyState reports the server-local view of key: materialized
-	// (key, config) state per family, retirement info, adaptive class.
+	// (key, config) state per family and retirement info.
 	KeyState func(key string) (any, error)
 	// Reconfigure proposes spec (a spec.Parse configuration string) as
 	// key's next configuration through the ordinary Paxos path.

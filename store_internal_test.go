@@ -109,7 +109,7 @@ func TestClientIdleTTLEvictsOpportunistically(t *testing.T) {
 }
 
 // TestReconfigureKeyReusesCachedReconfigurer pins the per-key reconfigurer
-// cache the adaptive controller's cadence depends on: repeated ReconfigureKey
+// cache that back-to-back manual moves rely on: repeated ReconfigureKey
 // calls on one key must reuse the same cached *Reconfigurer (no per-call
 // setup, and — more importantly — never a second live consensus proposer
 // under the derived identity), and the cache stays bounded through the
