@@ -40,8 +40,6 @@ const (
 	// TREAS erasure-codes the value with an [n, k] MDS code (⌈(n+k)/2⌉
 	// quorums, δ-bounded server lists) — the paper's contribution.
 	TREAS = cfg.TREAS
-	// LDR separates directory metadata from replica data (large objects).
-	LDR = cfg.LDR
 )
 
 // CtlServiceName names the node-scoped control service through which

@@ -7,10 +7,9 @@
 //
 //   - An atomic (linearizable) read/write register emulated over a set of
 //     crash-prone servers connected by an asynchronous network.
-//   - Three interchangeable per-configuration storage algorithms, expressed
-//     as data access primitives (DAPs): ABD (replication), TREAS (erasure
-//     coding with ⌈(n+k)/2⌉ quorums and bounded server state), and LDR
-//     (directory/replica separation for large objects).
+//   - Two interchangeable per-configuration storage algorithms, expressed
+//     as data access primitives (DAPs): ABD (replication) and TREAS
+//     (erasure coding with ⌈(n+k)/2⌉ quorums and bounded server state).
 //   - Live reconfiguration: the server set, the algorithm, and the code
 //     parameters can all change while reads and writes continue, with
 //     consensus (Paxos) deciding each successor configuration.

@@ -193,10 +193,7 @@ func Factory(c cfg.Configuration, rpc transport.Client) (dap.Client, error) {
 	return NewClient(c, rpc)
 }
 
-var (
-	_ dap.Client          = (*Client)(nil)
-	_ dap.ConfirmedReader = (*Client)(nil)
-)
+var _ dap.Client = (*Client)(nil)
 
 // GetTag queries all servers for their tags and returns the maximum among a
 // majority quorum of responses.
@@ -223,7 +220,7 @@ func (c *Client) GetData(ctx context.Context) (tag.Pair, error) {
 	return p, err
 }
 
-// GetDataConfirmed implements dap.ConfirmedReader. The query replies are
+// GetDataConfirmed implements dap.Client. The query replies are
 // themselves the propagation proof — each reply carries the server's stored
 // tag, so when every member of the gathered quorum already reports the
 // maximum tag, that tag is propagated to a quorum and a reader may skip its

@@ -29,8 +29,6 @@ const (
 	ABD Algorithm = "abd"
 	// TREAS is the two-round erasure-coded algorithm of §3.
 	TREAS Algorithm = "treas"
-	// LDR is the directory/replica algorithm of Appendix A.1 (Alg. 13).
-	LDR Algorithm = "ldr"
 )
 
 // Status marks whether a configuration in a sequence is still pending (P)
@@ -77,17 +75,11 @@ type Configuration struct {
 	// Servers lists the member server processes (c.Servers).
 	Servers []types.ProcessID
 	// K is the erasure-code dimension for TREAS ([n, k] with n =
-	// len(Servers)); it must be 1 for ABD and LDR.
+	// len(Servers)); ABD accepts only 0 or 1.
 	K int
 	// Delta bounds the number of (tag, coded-element) pairs each TREAS
 	// server retains (δ+1 highest tags keep their elements).
 	Delta int
-	// Directories is the directory-server subset used by LDR; empty
-	// otherwise. Directory quorums are majorities of this set.
-	Directories []types.ProcessID
-	// FReplicas is LDR's replica fault bound f: put-data writes to 2f+1
-	// replicas and awaits f+1 acks.
-	FReplicas int
 }
 
 // N returns the number of servers in the configuration.
@@ -119,13 +111,6 @@ func (c Configuration) Validate() error {
 	case ABD:
 		if c.K > 1 {
 			return fmt.Errorf("cfg %q: abd does not take k = %d", c.ID, c.K)
-		}
-	case LDR:
-		if len(c.Directories) == 0 {
-			return fmt.Errorf("cfg %q: ldr requires directory servers", c.ID)
-		}
-		if c.FReplicas < 0 || 2*c.FReplicas+1 > len(c.Servers) {
-			return fmt.Errorf("cfg %q: ldr f = %d needs 2f+1 <= %d replicas", c.ID, c.FReplicas, len(c.Servers))
 		}
 	default:
 		return fmt.Errorf("cfg %q: unknown algorithm %q", c.ID, c.Algorithm)
@@ -168,17 +153,11 @@ func (c Configuration) Equal(other Configuration) bool {
 // ID is a deployment bug).
 func (c Configuration) Same(other Configuration) bool {
 	if c.ID != other.ID || c.Key != other.Key || c.Algorithm != other.Algorithm ||
-		c.K != other.K || c.Delta != other.Delta || c.FReplicas != other.FReplicas ||
-		len(c.Servers) != len(other.Servers) || len(c.Directories) != len(other.Directories) {
+		c.K != other.K || c.Delta != other.Delta || len(c.Servers) != len(other.Servers) {
 		return false
 	}
 	for i := range c.Servers {
 		if c.Servers[i] != other.Servers[i] {
-			return false
-		}
-	}
-	for i := range c.Directories {
-		if c.Directories[i] != other.Directories[i] {
 			return false
 		}
 	}

@@ -73,29 +73,6 @@ func TestValidateABD(t *testing.T) {
 	}
 }
 
-func TestValidateLDR(t *testing.T) {
-	t.Parallel()
-	c := Configuration{
-		ID:          "c0",
-		Algorithm:   LDR,
-		Servers:     servers("r1", "r2", "r3"),
-		Directories: servers("d1", "d2", "d3"),
-		FReplicas:   1,
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c.FReplicas = 2 // needs 5 replicas
-	if err := c.Validate(); err == nil {
-		t.Fatal("LDR with 2f+1 > replicas validated")
-	}
-	c.FReplicas = 1
-	c.Directories = nil
-	if err := c.Validate(); err == nil {
-		t.Fatal("LDR without directories validated")
-	}
-}
-
 func TestQuorumSelection(t *testing.T) {
 	t.Parallel()
 	tre := validTreas()

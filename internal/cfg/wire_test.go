@@ -35,28 +35,6 @@ func TestConfigurationGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLDRConfigurationGobRoundTrip(t *testing.T) {
-	t.Parallel()
-	in := Configuration{
-		ID:          "cl",
-		Algorithm:   LDR,
-		Servers:     servers("r1", "r2", "r3"),
-		Directories: servers("d1", "d2", "d3"),
-		FReplicas:   1,
-	}
-	data, err := transport.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Configuration
-	if err := transport.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Directories) != 3 || out.FReplicas != 1 {
-		t.Fatalf("round trip = %+v", out)
-	}
-}
-
 func TestEntryGobRoundTrip(t *testing.T) {
 	t.Parallel()
 	in := Entry{

@@ -350,28 +350,17 @@ func (c *Client) ReadValue(ctx context.Context) (types.Value, error) {
 // getDataRetry runs get-data, retrying with backoff while a TREAS read is
 // transiently undecodable. The paper's read simply does not complete until
 // decodable; the context bounds the wait. It reports the pair, whether the
-// DAP proved the pair's tag propagated to a quorum (always false for
-// implementations without dap.ConfirmedReader, e.g. LDR), and how many
-// get-data rounds it spent (retries are real quorum rounds).
+// DAP proved the pair's tag propagated to a quorum, and how many get-data
+// rounds it spent (retries are real quorum rounds).
 func (c *Client) getDataRetry(ctx context.Context, conf cfg.Configuration) (tag.Pair, bool, int, error) {
 	client, err := c.daps.Get(conf)
 	if err != nil {
 		return tag.Pair{}, false, 0, err
 	}
-	cr, _ := client.(dap.ConfirmedReader)
 	rounds := 0
 	for attempt := 0; ; attempt++ {
-		var (
-			pair      tag.Pair
-			confirmed bool
-			err       error
-		)
 		rounds++
-		if cr != nil {
-			pair, confirmed, err = cr.GetDataConfirmed(ctx)
-		} else {
-			pair, err = client.GetData(ctx)
-		}
+		pair, confirmed, err := client.GetDataConfirmed(ctx)
 		if err == nil {
 			return pair, confirmed, rounds, nil
 		}

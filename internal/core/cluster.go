@@ -48,9 +48,7 @@ func NewCluster(c0 cfg.Configuration, net *transport.Simnet, extraServers ...typ
 		initial: c0,
 		hosts:   make(map[types.ProcessID]*Host),
 	}
-	members := append([]types.ProcessID(nil), c0.Servers...)
-	members = append(members, c0.Directories...)
-	members = append(members, extraServers...)
+	members := append(append([]types.ProcessID(nil), c0.Servers...), extraServers...)
 	for _, id := range members {
 		cl.AddHost(id)
 	}
@@ -121,9 +119,7 @@ func (c *Cluster) InstallConfiguration(conf cfg.Configuration) error {
 	} else if err := conf.Validate(); err != nil {
 		return err
 	}
-	members := append([]types.ProcessID(nil), conf.Servers...)
-	members = append(members, conf.Directories...)
-	for _, id := range members {
+	for _, id := range conf.Servers {
 		if err := c.AddHost(id).InstallConfiguration(conf); err != nil {
 			return err
 		}

@@ -8,19 +8,17 @@ import (
 	"github.com/ares-storage/ares/internal/abd"
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/dap"
-	"github.com/ares-storage/ares/internal/ldr"
 	"github.com/ares-storage/ares/internal/treas"
 )
 
-// NewRegistry returns a DAP registry wired with the three algorithms shipped
-// in this library: ABD, TREAS, and LDR. Each ARES configuration selects one
-// by name (cfg.Configuration.Algorithm), which is the paper's adaptivity —
+// NewRegistry returns a DAP registry wired with the two algorithms shipped
+// in this library: ABD and TREAS. Each ARES configuration selects one by
+// name (cfg.Configuration.Algorithm), which is the paper's adaptivity —
 // different configurations may run different atomic-memory algorithms
 // (Remark 22).
 func NewRegistry() *dap.Registry {
 	r := dap.NewRegistry()
 	r.Register(cfg.ABD, abd.Factory)
 	r.Register(cfg.TREAS, treas.Factory)
-	r.Register(cfg.LDR, ldr.Factory)
 	return r
 }

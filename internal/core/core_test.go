@@ -38,9 +38,6 @@ func addHosts(cl *Cluster, c cfg.Configuration) {
 	for _, s := range c.Servers {
 		cl.AddHost(s)
 	}
-	for _, d := range c.Directories {
-		cl.AddHost(d)
-	}
 }
 
 func TestWriteReadStatic(t *testing.T) {

@@ -2,83 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/recon"
 	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/types"
 )
-
-func ldrConfig(id cfg.ID, prefix string, nReplicas, nDirs, f int) cfg.Configuration {
-	c := cfg.Configuration{ID: id, Algorithm: cfg.LDR, FReplicas: f}
-	for i := 1; i <= nReplicas; i++ {
-		c.Servers = append(c.Servers, types.ProcessID(fmt.Sprintf("%s-r%d", prefix, i)))
-	}
-	for i := 1; i <= nDirs; i++ {
-		c.Directories = append(c.Directories, types.ProcessID(fmt.Sprintf("%s-d%d", prefix, i)))
-	}
-	return c
-}
-
-func TestLDRConfigurationInARES(t *testing.T) {
-	t.Parallel()
-	// Remark 22 in full generality: an ARES chain mixing all three DAP
-	// implementations, including LDR with its separate directory servers.
-	c0 := abdConfig("c0", "mix0", 3)
-	c1 := ldrConfig("c1", "mix1", 3, 3, 1)
-	c2 := treasConfig("c2", "mix2", 5, 3, 2)
-	cluster, err := NewCluster(c0, transport.NewSimnet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	addHosts(cluster, c1)
-	addHosts(cluster, c2)
-	ctx := context.Background()
-
-	w, err := cluster.NewClient("w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := cluster.NewClient("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := cluster.NewReconfigurer("g1", recon.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := w.Write(ctx, types.Value("born-in-abd")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Reconfig(ctx, c1); err != nil {
-		t.Fatalf("reconfig to LDR: %v", err)
-	}
-	pair, err := r.Read(ctx)
-	if err != nil {
-		t.Fatalf("read from LDR configuration: %v", err)
-	}
-	if string(pair.Value) != "born-in-abd" {
-		t.Fatalf("read %q", pair.Value)
-	}
-	if _, err := w.Write(ctx, types.Value("updated-in-ldr")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Reconfig(ctx, c2); err != nil {
-		t.Fatalf("reconfig LDR → TREAS: %v", err)
-	}
-	pair, err = r.Read(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pair.Value) != "updated-in-ldr" {
-		t.Fatalf("value lost across LDR → TREAS migration: %q", pair.Value)
-	}
-}
 
 func TestOperationsBlockDuringPartitionAndResume(t *testing.T) {
 	t.Parallel()

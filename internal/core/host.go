@@ -9,7 +9,6 @@ import (
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/consensus"
 	"github.com/ares-storage/ares/internal/keystate"
-	"github.com/ares-storage/ares/internal/ldr"
 	"github.com/ares-storage/ares/internal/node"
 	"github.com/ares-storage/ares/internal/recon"
 	"github.com/ares-storage/ares/internal/transport"
@@ -76,20 +75,16 @@ func NewHost(n *node.Node, rpc transport.Client) *Host {
 	// keys or configurations it ends up serving.
 	abdSvc := abd.NewService(n.ID(), h.cfgs)
 	treasSvc := treas.NewService(n.ID(), h.cfgs, rpc)
-	ldrRep := ldr.NewReplicaService(n.ID(), h.cfgs)
-	ldrDir := ldr.NewDirectoryService(n.ID(), h.cfgs)
 	reconSvc := recon.NewService(n.ID(), h.cfgs)
 	paxosSvc := consensus.NewService(n.ID(), h.cfgs)
 	n.InstallKeyed(abd.ServiceName, abdSvc)
 	n.InstallKeyed(treas.ServiceName, treasSvc)
-	n.InstallKeyed(ldr.ReplicaServiceName, ldrRep)
-	n.InstallKeyed(ldr.DirectoryServiceName, ldrDir)
 	n.InstallKeyed(recon.ServiceName, reconSvc)
 	n.InstallKeyed(consensus.ServiceName, paxosSvc)
-	h.stores = []storageReporter{abdSvc, treasSvc, ldrRep}
+	h.stores = []storageReporter{abdSvc, treasSvc}
 	h.recon = reconSvc
-	h.counts = []stateReporter{abdSvc, treasSvc, ldrRep, ldrDir, reconSvc, paxosSvc}
-	h.durables = []keystate.DurableService{abdSvc, treasSvc, ldrRep, ldrDir, reconSvc, paxosSvc}
+	h.counts = []stateReporter{abdSvc, treasSvc, reconSvc, paxosSvc}
+	h.durables = []keystate.DurableService{abdSvc, treasSvc, reconSvc, paxosSvc}
 
 	// Configuration-lifecycle GC: when the pointer service witnesses a
 	// finalized successor for (key, c), every family retires its (key, c)
@@ -101,8 +96,6 @@ func NewHost(n *node.Node, rpc transport.Client) *Host {
 		for _, retire := range []func(key, configID string) bool{
 			abdSvc.RetireConfig,
 			treasSvc.RetireConfig,
-			ldrRep.RetireConfig,
-			ldrDir.RetireConfig,
 			paxosSvc.RetireConfig,
 		} {
 			if retire(key, configID) {
@@ -214,54 +207,31 @@ func (h *Host) RetiredConfigs() int { return h.cfgs.RetiredCount() }
 
 // RemoteInstaller returns a recon.Installer that provisions a configuration
 // by sending install commands to its servers' control services over rpc. It
-// requires an acknowledgement from every directory member and a quorum of
-// servers: directory majorities are quorums of the (often much smaller)
-// directory set, so a crashed directory cannot be papered over by extra
-// server acks, while crashed servers beyond the quorum are tolerated (they
-// cannot be provisioned, and quorums suffice for every subsequent protocol
-// step). This is the once-per-configuration cost of reconfiguration; the
-// per-key fan-out of a composed store pays it never — templates are
-// installed once and keys materialize lazily.
+// requires an acknowledgement from a quorum of servers: crashed servers
+// beyond the quorum are tolerated (they cannot be provisioned, and quorums
+// suffice for every subsequent protocol step). This is the
+// once-per-configuration cost of reconfiguration; the per-key fan-out of a
+// composed store pays it never — templates are installed once and keys
+// materialize lazily.
 func RemoteInstaller(rpc transport.Client) recon.Installer {
 	return func(ctx context.Context, c cfg.Configuration) error {
-		targets := append([]types.ProcessID(nil), c.Servers...)
-		for _, d := range c.Directories {
-			if _, ok := c.ServerIndex(d); !ok {
-				targets = append(targets, d)
-			}
-		}
-		// Prefer provisioning every member, but do not hang forever on
-		// crashed ones: bound the all-targets wait, then check the acks that
-		// did arrive against the per-role requirements.
+		// Prefer provisioning every server, but do not hang forever on
+		// crashed ones: bound the all-servers wait, then check the acks that
+		// did arrive against the quorum.
 		installCtx, cancel := context.WithTimeout(ctx, installTimeout)
 		defer cancel()
-		got, err := transport.Broadcast(installCtx, rpc, targets,
+		got, err := transport.Broadcast(installCtx, rpc, c.Servers,
 			transport.Phase[struct{}]{Service: CtlServiceName, Config: CtlConfigKey, Type: msgInstall, Body: installReq{Cfg: c}},
-			transport.AtLeast[struct{}](len(targets)),
+			transport.AtLeast[struct{}](len(c.Servers)),
 		)
-		acked := make(map[types.ProcessID]bool, len(got))
-		for _, g := range got {
-			acked[g.From] = true
-		}
-		serverAcks := 0
-		for _, s := range c.Servers {
-			if acked[s] {
-				serverAcks++
-			}
-		}
-		if need := c.Quorum().Size(); serverAcks < need {
-			return fmt.Errorf("core: installing %s: %d/%d server acks: %w", c.ID, serverAcks, need, err)
-		}
-		for _, d := range c.Directories {
-			if !acked[d] {
-				return fmt.Errorf("core: installing %s: directory %s did not ack (err: %v)", c.ID, d, err)
-			}
+		if need := c.Quorum().Size(); len(got) < need {
+			return fmt.Errorf("core: installing %s: %d/%d server acks: %w", c.ID, len(got), need, err)
 		}
 		return nil
 	}
 }
 
-// installTimeout bounds RemoteInstaller's wait for acks from every member
-// before settling for the per-role requirements. A caller context with an
-// earlier deadline wins (tests shorten the wait that way).
+// installTimeout bounds RemoteInstaller's wait for acks from every server
+// before settling for a quorum. A caller context with an earlier deadline
+// wins (tests shorten the wait that way).
 const installTimeout = 5 * time.Second

@@ -9,7 +9,6 @@ import (
 	"github.com/ares-storage/ares/internal/abd"
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/consensus"
-	"github.com/ares-storage/ares/internal/ldr"
 	"github.com/ares-storage/ares/internal/node"
 	"github.com/ares-storage/ares/internal/recon"
 	"github.com/ares-storage/ares/internal/transport"
@@ -62,28 +61,6 @@ func TestInstallSkipsNonMembers(t *testing.T) {
 	// state for it.
 	if resp := dispatch(h, abd.ServiceName, "", string(c.ID), "query-tag"); resp.OK {
 		t.Fatal("non-member served a store request")
-	}
-}
-
-func TestInstallLDRDirectoryOnlyMember(t *testing.T) {
-	t.Parallel()
-	net := transport.NewSimnet()
-	h := NewHost(node.New("dir-1"), net.Client("dir-1"))
-	c := cfg.Configuration{
-		ID:          "cl",
-		Algorithm:   cfg.LDR,
-		Servers:     []types.ProcessID{"rep-1", "rep-2", "rep-3"},
-		Directories: []types.ProcessID{"dir-1", "dir-2", "dir-3"},
-		FReplicas:   1,
-	}
-	if err := h.InstallConfiguration(c); err != nil {
-		t.Fatal(err)
-	}
-	if resp := dispatch(h, ldr.DirectoryServiceName, "", string(c.ID), "query-tag-location"); !resp.OK {
-		t.Fatalf("directory member rejected directory request: %s", resp.Err)
-	}
-	if resp := dispatch(h, ldr.ReplicaServiceName, "", string(c.ID), "put-data"); resp.OK {
-		t.Fatal("directory-only member served a replica request")
 	}
 }
 

@@ -30,24 +30,17 @@ type Client interface {
 	// GetData returns a tag-value pair whose tag satisfies C1 and whose
 	// value was actually put (or is the initial pair) — property C2.
 	GetData(ctx context.Context) (tag.Pair, error)
+	// GetDataConfirmed is GetData plus a propagation proof: confirmed
+	// reports that the returned pair's tag was already held by a full
+	// quorum at the time of the query. A reader holding that proof may skip
+	// its put-data write-back round — any later get-data quorum intersects
+	// the confirming quorum and therefore observes a tag at least as large
+	// (C1 still holds for the skipped propagation). Without the proof the
+	// reader falls back to the two-round template.
+	GetDataConfirmed(ctx context.Context) (p tag.Pair, confirmed bool, err error)
 	// PutData stores the tag-value pair so that subsequent GetTag/GetData
 	// calls observe a tag at least as large.
 	PutData(ctx context.Context, p tag.Pair) error
-}
-
-// ConfirmedReader is an optional extension of Client for DAP
-// implementations whose get-data replies can prove propagation: confirmed
-// reports that the returned pair's tag was already held by a full quorum at
-// the time of the query. A reader holding that proof may skip its put-data
-// write-back round — any later get-data quorum intersects the confirming
-// quorum and therefore observes a tag at least as large (C1 still holds for
-// the skipped propagation). ABD and TREAS implement it; implementations
-// that cannot prove propagation (e.g. LDR's separate replica/directory
-// roles) simply don't, and readers fall back to the two-round template.
-type ConfirmedReader interface {
-	Client
-	// GetDataConfirmed is GetData plus the propagation proof.
-	GetDataConfirmed(ctx context.Context) (p tag.Pair, confirmed bool, err error)
 }
 
 // Factory builds a DAP client for a configuration. The transport client is
@@ -63,7 +56,7 @@ type Registry struct {
 
 // NewRegistry builds a registry from explicit registrations. Registration is
 // explicit (no global state, no init side effects); the core package wires
-// the standard three algorithms.
+// the standard two algorithms.
 func NewRegistry() *Registry {
 	return &Registry{factories: make(map[cfg.Algorithm]Factory)}
 }

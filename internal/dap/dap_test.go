@@ -33,6 +33,13 @@ func (m *memDAP) GetData(context.Context) (tag.Pair, error) {
 	return m.pair, nil
 }
 
+// GetDataConfirmed always confirms: the one in-memory copy is the whole
+// quorum.
+func (m *memDAP) GetDataConfirmed(ctx context.Context) (tag.Pair, bool, error) {
+	p, err := m.GetData(ctx)
+	return p, err == nil, err
+}
+
 func (m *memDAP) PutData(_ context.Context, p tag.Pair) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -112,6 +119,11 @@ func (f *failDAP) GetData(ctx context.Context) (tag.Pair, error) {
 		return tag.Pair{}, errInjected
 	}
 	return f.memDAP.GetData(ctx)
+}
+
+func (f *failDAP) GetDataConfirmed(ctx context.Context) (tag.Pair, bool, error) {
+	p, err := f.GetData(ctx)
+	return p, err == nil, err
 }
 
 func (f *failDAP) PutData(ctx context.Context, p tag.Pair) error {

@@ -31,18 +31,6 @@ func abdCfg(id cfg.ID, prefix string, n int) cfg.Configuration {
 	return c
 }
 
-// ldrCfg builds an LDR configuration with separate directory servers.
-func ldrCfg(id cfg.ID, prefix string, nReplicas, nDirs, f int) cfg.Configuration {
-	c := cfg.Configuration{ID: id, Algorithm: cfg.LDR, FReplicas: f}
-	for i := 1; i <= nReplicas; i++ {
-		c.Servers = append(c.Servers, types.ProcessID(fmt.Sprintf("%s-r%d", prefix, i)))
-	}
-	for i := 1; i <= nDirs; i++ {
-		c.Directories = append(c.Directories, types.ProcessID(fmt.Sprintf("%s-d%d", prefix, i)))
-	}
-	return c
-}
-
 // deploy builds a cluster for c0 plus hosts for any extra configurations.
 func deploy(c0 cfg.Configuration, net *transport.Simnet, extras ...cfg.Configuration) (*core.Cluster, error) {
 	cluster, err := core.NewCluster(c0, net)
@@ -52,9 +40,6 @@ func deploy(c0 cfg.Configuration, net *transport.Simnet, extras ...cfg.Configura
 	for _, c := range extras {
 		for _, s := range c.Servers {
 			cluster.AddHost(s)
-		}
-		for _, d := range c.Directories {
-			cluster.AddHost(d)
 		}
 	}
 	return cluster, nil

@@ -205,6 +205,13 @@ func (d *Durability) stripeOf(key, config string) int {
 	return int(Hash(key, config) & d.stripeMask)
 }
 
+// unregisteredFamily is the replay error for a stripe record whose family
+// no registered service owns (e.g. a data directory written by a build with
+// a service this one lacks).
+func unregisteredFamily(family string) error {
+	return fmt.Errorf("record of family %q, which no registered service owns", family)
+}
+
 // replaySkippable reports a replay error caused by the record's (key,
 // config) pair having been garbage-collected or its configuration never
 // resurfacing — expected for records that predate a retirement whose
@@ -240,7 +247,7 @@ func (d *Durability) replayLog(name string, fn func(r Record) error) (lastSeq in
 		}
 		for i := range records {
 			if err := fn(records[i]); err != nil {
-				return 0, err
+				return 0, fmt.Errorf("keystate: replaying %s: %w", p, err)
 			}
 		}
 	}
@@ -253,7 +260,9 @@ func (d *Durability) replayLog(name string, fn func(r Record) error) (lastSeq in
 // Recover replays meta snapshot + meta log, then stripe snapshots + stripe
 // logs, opens the logs for appending, and attaches journals to every
 // registered service. It must complete before the node answers its first
-// envelope. Safe on an empty directory (fresh start).
+// envelope. Safe on an empty directory (fresh start). A stripe record whose
+// family no registered service owns fails recovery, naming the family and
+// the file that holds it.
 func (d *Durability) Recover() (RecoveryStats, error) {
 	if d.recovered {
 		return d.stats, errors.New("keystate: already recovered")
@@ -298,6 +307,8 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 	// 2. Stripe snapshots, then stripe log tails. Records whose pair was
 	// retired (or whose configuration never resurfaced) are skipped: the
 	// lifecycle GC already proved that state quiescent and superseded.
+	// A record no registered service owns fails recovery instead: it may
+	// hold acknowledged writes, and dropping it would lose them silently.
 	stripeSeqs := make([]int, d.opts.stripes)
 	for i := 0; i < d.opts.stripes; i++ {
 		name := d.stripeName(i)
@@ -307,8 +318,7 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 			}
 			svc, ok := d.byFamily[r.Family]
 			if !ok {
-				d.stats.Skipped++
-				return nil
+				return unregisteredFamily(r.Family)
 			}
 			if err := svc.RestoreState(r.Key, r.Config, r.Payload); err != nil {
 				if replaySkippable(err) {
@@ -328,8 +338,7 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 			}
 			svc, ok := d.byFamily[r.Family]
 			if !ok {
-				d.stats.Skipped++
-				return nil
+				return unregisteredFamily(r.Family)
 			}
 			if err := svc.ReplayApply(r.Key, r.Config, r.Op, r.Payload); err != nil {
 				if replaySkippable(err) {

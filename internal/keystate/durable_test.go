@@ -225,6 +225,49 @@ func TestDurabilityJournalThenRecover(t *testing.T) {
 	}
 }
 
+// TestDurabilityRefusesUnregisteredFamily pins fail-stop recovery: state
+// journaled by a service family the reopened process no longer registers
+// may hold acknowledged writes, so Recover must refuse it, naming the
+// family and the file, rather than count it as skipped and drop it. Both
+// the log-tail and the snapshot paths are covered.
+func TestDurabilityRefusesUnregisteredFamily(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		snapshot := snapshot
+		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
+			dir := t.TempDir()
+			d, _, meta := openTestDurability(t, dir, WithWALStripes(1))
+			gone := newFakeSvc("gone", meta)
+			d.Register(gone)
+			if _, err := d.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if err := gone.write("k", "c0", []byte("acked")); err != nil {
+				t.Fatal(err)
+			}
+			wantFile := ".wal"
+			if snapshot {
+				if err := d.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				wantFile = ".snap"
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			d2, _, _ := openTestDurability(t, dir, WithWALStripes(1))
+			stats, err := d2.Recover()
+			if err == nil {
+				d2.Close()
+				t.Fatalf("recovery dropped a %q record (stats %+v)", "gone", stats)
+			}
+			if !strings.Contains(err.Error(), `"gone"`) || !strings.Contains(err.Error(), wantFile) {
+				t.Fatalf("error %q does not name the family and its %s file", err, wantFile)
+			}
+		})
+	}
+}
+
 // TestDurabilitySnapshotCompacts pins snapshot + truncation: after Snapshot,
 // pre-rotation segments are gone, and recovery restores snapshot state plus
 // the post-snapshot log tail.

@@ -83,7 +83,7 @@ func readSnapshot(path string, fn func(r Record) error) error {
 	}
 	for i := range records {
 		if err := fn(records[i]); err != nil {
-			return err
+			return fmt.Errorf("keystate: replaying %s: %w", path, err)
 		}
 	}
 	return nil

@@ -8,10 +8,9 @@
 // register with its own configuration chain; hosting a service stack per
 // (key, configuration) would cost O(keys) instances and installation
 // round-trips. Instead a node hosts exactly one instance per algorithm
-// family (ABD, TREAS, LDR, the reconfiguration pointer service, the
-// consensus acceptor), and each instance materializes per-(key, config)
-// state lazily inside a striped-lock map on the first message that names the
-// pair. Node-scoped services (the control service) remain addressable by an
+// family (ABD, TREAS, the reconfiguration pointer service, the consensus
+// acceptor), and each instance materializes per-(key, config) state lazily
+// inside a striped-lock map on the first message that names the pair. Node-scoped services (the control service) remain addressable by an
 // exact (service, config) pair.
 package node
 

@@ -4,7 +4,6 @@
 //
 //	id=c0;alg=treas;servers=s1,s2,s3,s4,s5;k=3;delta=4
 //	id=c1;alg=abd;servers=a1,a2,a3
-//	id=c2;alg=ldr;servers=r1,r2,r3;dirs=d1,d2,d3;f=1
 package spec
 
 import (
@@ -38,8 +37,6 @@ func Parse(s string) (cfg.Configuration, error) {
 			c.Algorithm = cfg.Algorithm(value)
 		case "servers":
 			c.Servers = parseIDs(value)
-		case "dirs", "directories":
-			c.Directories = parseIDs(value)
 		case "k":
 			k, err := strconv.Atoi(value)
 			if err != nil {
@@ -52,12 +49,6 @@ func Parse(s string) (cfg.Configuration, error) {
 				return cfg.Configuration{}, fmt.Errorf("spec: delta: %w", err)
 			}
 			c.Delta = d
-		case "f":
-			f, err := strconv.Atoi(value)
-			if err != nil {
-				return cfg.Configuration{}, fmt.Errorf("spec: f: %w", err)
-			}
-			c.FReplicas = f
 		default:
 			return cfg.Configuration{}, fmt.Errorf("spec: unknown field %q", key)
 		}
@@ -76,14 +67,8 @@ func Format(c cfg.Configuration) string {
 		"alg=" + string(c.Algorithm),
 		"servers=" + joinIDs(c.Servers),
 	}
-	if len(c.Directories) > 0 {
-		parts = append(parts, "dirs="+joinIDs(c.Directories))
-	}
-	switch c.Algorithm {
-	case cfg.TREAS:
+	if c.Algorithm == cfg.TREAS {
 		parts = append(parts, fmt.Sprintf("k=%d", c.K), fmt.Sprintf("delta=%d", c.Delta))
-	case cfg.LDR:
-		parts = append(parts, fmt.Sprintf("f=%d", c.FReplicas))
 	}
 	return strings.Join(parts, ";")
 }

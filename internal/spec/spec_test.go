@@ -29,17 +29,6 @@ func TestParseABD(t *testing.T) {
 	}
 }
 
-func TestParseLDR(t *testing.T) {
-	t.Parallel()
-	c, err := Parse("id=c2;alg=ldr;servers=r1,r2,r3;dirs=d1,d2,d3;f=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Algorithm != cfg.LDR || len(c.Directories) != 3 || c.FReplicas != 1 {
-		t.Fatalf("parsed %+v", c)
-	}
-}
-
 func TestParseWhitespaceTolerant(t *testing.T) {
 	t.Parallel()
 	c, err := Parse(" id = c0 ; alg = abd ; servers = s1 , s2 , s3 ")
@@ -60,9 +49,9 @@ func TestParseErrors(t *testing.T) {
 		{"unknown field", "id=c0;alg=abd;servers=s1;color=red", "unknown field"},
 		{"bad k", "id=c0;alg=treas;servers=s1;k=three", "k:"},
 		{"bad delta", "id=c0;alg=treas;servers=s1;k=1;delta=x", "delta:"},
-		{"bad f", "id=c0;alg=ldr;servers=s1;dirs=d1;f=x", "f:"},
 		{"invalid config", "id=c0;alg=treas;servers=s1;k=5", "out of range"},
 		{"missing id", "alg=abd;servers=s1", "empty ID"},
+		{"removed algorithm", "id=c2;alg=ldr;servers=r1,r2,r3", "unknown algorithm"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -81,7 +70,6 @@ func TestFormatRoundTrip(t *testing.T) {
 	inputs := []string{
 		"id=c0;alg=treas;servers=s1,s2,s3,s4,s5;k=3;delta=4",
 		"id=c1;alg=abd;servers=a1,a2,a3",
-		"id=c2;alg=ldr;servers=r1,r2,r3;dirs=d1,d2,d3;f=1",
 	}
 	for _, in := range inputs {
 		c1, err := Parse(in)
@@ -93,7 +81,7 @@ func TestFormatRoundTrip(t *testing.T) {
 			t.Fatalf("re-parsing %q: %v", Format(c1), err)
 		}
 		if c1.ID != c2.ID || c1.Algorithm != c2.Algorithm || len(c1.Servers) != len(c2.Servers) ||
-			c1.K != c2.K || c1.Delta != c2.Delta || c1.FReplicas != c2.FReplicas {
+			c1.K != c2.K || c1.Delta != c2.Delta {
 			t.Fatalf("round trip changed config: %+v vs %+v", c1, c2)
 		}
 	}

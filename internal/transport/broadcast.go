@@ -52,7 +52,8 @@ type Phase[RespT any] struct {
 
 	// Check, when non-nil, validates a decoded reply. A reply failing Check
 	// counts as that destination failing, not as progress toward the quorum
-	// — e.g. an LDR replica answering with a stale tag.
+	// — e.g. a reply whose piggybacked state is older than the phase
+	// requires, so a lagging server cannot complete the quorum.
 	Check func(from types.ProcessID, resp RespT) error
 }
 

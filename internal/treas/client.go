@@ -47,10 +47,7 @@ func Factory(c cfg.Configuration, rpc transport.Client) (dap.Client, error) {
 	return NewClient(c, rpc)
 }
 
-var (
-	_ dap.Client          = (*Client)(nil)
-	_ dap.ConfirmedReader = (*Client)(nil)
-)
+var _ dap.Client = (*Client)(nil)
 
 // GetTag queries all servers for their highest tags and returns the maximum
 // among ⌈(n+k)/2⌉ responses (Alg. 2 get-tag).
@@ -78,7 +75,7 @@ func (c *Client) GetData(ctx context.Context) (tag.Pair, error) {
 	return p, err
 }
 
-// GetDataConfirmed implements dap.ConfirmedReader. The decoded tag is
+// GetDataConfirmed implements dap.Client. The decoded tag is
 // confirmed when every list in the gathered quorum carries its coded
 // element: the coding parameters then always permit skipping the
 // write-back, because with q = ⌈(n+k)/2⌉ any two quorums intersect in
