@@ -1,7 +1,6 @@
-// Top-level benchmarks: one Benchmark per paper artifact (see DESIGN.md §3).
-// Each benchmark exercises the per-operation path of its experiment and
-// reports the paper's cost metrics as custom benchmark metrics; the full
-// tables/series are regenerated by cmd/ares-bench.
+// Top-level ObjectStore benchmarks: batched against sequential multi-key
+// access and concurrent first touch over a latency-bearing simnet. The
+// paper's experiments are BenchmarkPaper in internal/experiments.
 package ares_test
 
 import (
@@ -12,511 +11,7 @@ import (
 	"time"
 
 	ares "github.com/ares-storage/ares"
-	"github.com/ares-storage/ares/internal/experiments"
 )
-
-// benchCluster deploys a fresh TREAS cluster for benchmarks.
-func benchCluster(b *testing.B, prefix string, n, k, delta int, opts ...ares.NetworkOption) (*ares.Cluster, *ares.Network, ares.Config) {
-	b.Helper()
-	c0 := ares.Config{ID: "c0", Algorithm: ares.TREAS, K: k, Delta: delta}
-	for i := 1; i <= n; i++ {
-		c0.Servers = append(c0.Servers, ares.ProcessID(fmt.Sprintf("%s-s%d", prefix, i)))
-	}
-	net := ares.NewSimNetwork(opts...)
-	cluster, err := ares.NewCluster(c0, net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(cluster.Close)
-	return cluster, net, c0
-}
-
-// BenchmarkE1StorageCost measures per-write latency while reporting the
-// storage ratio measured/predicted of Theorem 3(i).
-func BenchmarkE1StorageCost(b *testing.B) {
-	for _, p := range []struct{ n, k, delta int }{{5, 3, 2}, {9, 6, 4}} {
-		p := p
-		b.Run(fmt.Sprintf("n=%d/k=%d/delta=%d", p.n, p.k, p.delta), func(b *testing.B) {
-			cluster, _, c0 := benchCluster(b, fmt.Sprintf("e1-%d-%d", p.n, p.delta), p.n, p.k, p.delta)
-			w, err := cluster.NewClient("w1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			const valueSize = 16 * 1024
-			v := make(ares.Value, valueSize)
-			b.SetBytes(valueSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.WriteValue(ctx, v); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			var storage int
-			for _, s := range c0.Servers {
-				if h, ok := cluster.Host(s); ok {
-					storage += h.StorageBytes()
-				}
-			}
-			shard := (valueSize + p.k - 1) / p.k
-			predicted := (p.delta + 1) * p.n * shard
-			b.ReportMetric(float64(storage)/float64(predicted), "storage_ratio")
-		})
-	}
-}
-
-// BenchmarkE2WriteCommCost reports wire bytes per write against the n/k
-// prediction of Theorem 3(ii).
-func BenchmarkE2WriteCommCost(b *testing.B) {
-	cluster, net, _ := benchCluster(b, "e2", 5, 3, 2)
-	w, err := cluster.NewClient("w1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	const valueSize = 16 * 1024
-	v := make(ares.Value, valueSize)
-	net.Counters().Reset()
-	b.SetBytes(valueSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.WriteValue(ctx, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	snap := net.Counters().Snapshot()
-	perWrite := float64(snap["treas/put-data/req"].Bytes) / float64(b.N)
-	predicted := float64(5 * ((valueSize + 2) / 3))
-	b.ReportMetric(perWrite/predicted, "comm_ratio")
-}
-
-// BenchmarkE3ReadCommCost reports wire bytes per read against the (δ+2)·n/k
-// bound of Theorem 3(iii).
-func BenchmarkE3ReadCommCost(b *testing.B) {
-	const delta = 2
-	cluster, net, _ := benchCluster(b, "e3", 5, 3, delta)
-	w, err := cluster.NewClient("w1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := cluster.NewClient("r1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	const valueSize = 16 * 1024
-	for i := 0; i < delta+3; i++ {
-		if err := w.WriteValue(ctx, make(ares.Value, valueSize)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	net.Counters().Reset()
-	b.SetBytes(valueSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.ReadValue(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	snap := net.Counters().Snapshot()
-	perRead := float64(snap["treas/query-list/resp"].Bytes+snap["treas/put-data/req"].Bytes) / float64(b.N)
-	bound := float64((delta + 2) * 5 * ((valueSize + 2) / 3))
-	b.ReportMetric(perRead/bound, "comm_vs_bound")
-}
-
-// BenchmarkE4CostComparison compares ABD and TREAS per-operation cost
-// side by side (the §1 motivating example).
-func BenchmarkE4CostComparison(b *testing.B) {
-	const valueSize = 256 * 1024
-	for _, alg := range []ares.Algorithm{ares.ABD, ares.TREAS} {
-		alg := alg
-		b.Run(string(alg), func(b *testing.B) {
-			c0 := ares.Config{ID: "c0", Algorithm: alg}
-			for i := 1; i <= 5; i++ {
-				c0.Servers = append(c0.Servers, ares.ProcessID(fmt.Sprintf("e4-%s-s%d", alg, i)))
-			}
-			if alg == ares.TREAS {
-				c0.K = 3
-				c0.Delta = 1
-			}
-			net := ares.NewSimNetwork()
-			cluster, err := ares.NewCluster(c0, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(cluster.Close)
-			w, err := cluster.NewClient("w1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			v := make(ares.Value, valueSize)
-			net.Counters().Reset()
-			b.SetBytes(valueSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.WriteValue(ctx, v); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			total := net.Counters().TotalBytes(string(alg))
-			b.ReportMetric(float64(total)/float64(b.N)/valueSize, "wire_x_value")
-		})
-	}
-}
-
-// BenchmarkE5DirectTransfer measures a full reconfiguration with the Alg. 5
-// versus §5 state transfer.
-func BenchmarkE5DirectTransfer(b *testing.B) {
-	for _, direct := range []bool{false, true} {
-		direct := direct
-		name := "alg5"
-		if direct {
-			name = "direct"
-		}
-		b.Run(name, func(b *testing.B) {
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				src := ares.Config{ID: "c0", Algorithm: ares.TREAS, K: 3, Delta: 2}
-				dst := ares.Config{ID: "c1", Algorithm: ares.TREAS, K: 3, Delta: 2}
-				for j := 1; j <= 5; j++ {
-					src.Servers = append(src.Servers, ares.ProcessID(fmt.Sprintf("e5-%s-%d-a%d", name, i, j)))
-					dst.Servers = append(dst.Servers, ares.ProcessID(fmt.Sprintf("e5-%s-%d-b%d", name, i, j)))
-				}
-				net := ares.NewSimNetwork()
-				cluster, err := ares.NewCluster(src, net)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(cluster.Close)
-				for _, s := range dst.Servers {
-					cluster.AddHost(s)
-				}
-				w, err := cluster.NewClient("w1")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.WriteValue(ctx, make(ares.Value, 256*1024)); err != nil {
-					b.Fatal(err)
-				}
-				g, err := cluster.NewReconfigurer("g1", ares.ReconOptions{DirectTransfer: direct})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := g.Reconfig(ctx, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE6ActionDelays measures the raw DAP actions (one quorum round
-// trip each, Lemma 58).
-func BenchmarkE6ActionDelays(b *testing.B) {
-	cluster, net, c0 := benchCluster(b, "e6", 5, 3, 2)
-	dapClient, err := cluster.Registry().New(c0, net.Client("c1"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	v := make(ares.Value, 4096)
-	b.Run("put-data", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := dapClient.PutData(ctx, ares.Pair{Tag: ares.Tag{Z: int64(i + 1), W: "c1"}, Value: v}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("get-tag", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dapClient.GetTag(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("get-data", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dapClient.GetData(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkF1LatencyVsSize is the latency-vs-value-size figure as a
-// benchmark series.
-func BenchmarkF1LatencyVsSize(b *testing.B) {
-	for _, alg := range []ares.Algorithm{ares.ABD, ares.TREAS} {
-		for _, sizeKiB := range []int{4, 64, 256} {
-			alg, sizeKiB := alg, sizeKiB
-			b.Run(fmt.Sprintf("%s/%dKiB", alg, sizeKiB), func(b *testing.B) {
-				c0 := ares.Config{ID: "c0", Algorithm: alg}
-				for i := 1; i <= 5; i++ {
-					c0.Servers = append(c0.Servers, ares.ProcessID(fmt.Sprintf("f1-%s-%d-s%d", alg, sizeKiB, i)))
-				}
-				if alg == ares.TREAS {
-					c0.K = 3
-					c0.Delta = 2
-				}
-				cluster, err := ares.NewCluster(c0, ares.NewSimNetwork())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(cluster.Close)
-				w, err := cluster.NewClient("w1")
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := context.Background()
-				v := make(ares.Value, sizeKiB*1024)
-				b.SetBytes(int64(sizeKiB * 1024))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := w.WriteValue(ctx, v); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkF2LatencyVsServers is the latency-vs-cluster-size figure.
-func BenchmarkF2LatencyVsServers(b *testing.B) {
-	for _, n := range []int{3, 5, 7, 9, 11} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			k := (2*n + 2) / 3
-			cluster, _, _ := benchCluster(b, fmt.Sprintf("f2-%d", n), n, k, 2)
-			w, err := cluster.NewClient("w1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			v := make(ares.Value, 16*1024)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.WriteValue(ctx, v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF3WriterConcurrency measures reads racing b.N writers' traffic
-// within the δ bound.
-func BenchmarkF3WriterConcurrency(b *testing.B) {
-	for _, writers := range []int{1, 4, 8} {
-		writers := writers
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			cluster, _, c0 := benchCluster(b, fmt.Sprintf("f3-%d", writers), 5, 3, writers+1)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			for wIdx := 0; wIdx < writers; wIdx++ {
-				w, err := cluster.NewClientFor(ares.ProcessID(fmt.Sprintf("w%d", wIdx)), c0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				go func() {
-					v := make(ares.Value, 4096)
-					for ctx.Err() == nil {
-						if err := w.WriteValue(ctx, v); err != nil {
-							return
-						}
-					}
-				}()
-			}
-			r, err := cluster.NewClient("r1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.ReadValue(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF4ReaderConcurrency measures read latency with RunParallel
-// readers.
-func BenchmarkF4ReaderConcurrency(b *testing.B) {
-	cluster, _, c0 := benchCluster(b, "f4", 5, 3, 4)
-	w, err := cluster.NewClient("w1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := w.WriteValue(ctx, make(ares.Value, 16*1024)); err != nil {
-		b.Fatal(err)
-	}
-	var nextReader int
-	b.RunParallel(func(pb *testing.PB) {
-		nextReader++
-		r, err := cluster.NewClientFor(ares.ProcessID(fmt.Sprintf("r%d", nextReader)), c0)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for pb.Next() {
-			if _, err := r.ReadValue(ctx); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkF5ReconfigChurn measures operation latency while a
-// reconfiguration chain runs (one recon per 50 operations).
-func BenchmarkF5ReconfigChurn(b *testing.B) {
-	cluster, _, _ := benchCluster(b, "f5", 5, 3, 6)
-	ctx := context.Background()
-	w, err := cluster.NewClient("w1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := cluster.NewReconfigurer("g1", ares.ReconOptions{DirectTransfer: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := make(ares.Value, 16*1024)
-	epoch := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%50 == 25 {
-			b.StopTimer()
-			epoch++
-			next := ares.Config{ID: ares.ConfigID(fmt.Sprintf("c%d", epoch)), Algorithm: ares.TREAS, K: 3, Delta: 6}
-			for j := 1; j <= 5; j++ {
-				next.Servers = append(next.Servers, ares.ProcessID(fmt.Sprintf("f5-e%d-s%d", epoch, j)))
-			}
-			for _, s := range next.Servers {
-				cluster.AddHost(s)
-			}
-			if _, err := g.Reconfig(ctx, next); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		if err := w.WriteValue(ctx, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(epoch), "reconfigs")
-}
-
-// BenchmarkF6ReconPipeline measures a single full reconfiguration — the unit
-// step of the Lemma 57 pipeline (the k-install series runs in ares-bench).
-func BenchmarkF6ReconPipeline(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cluster, _, _ := benchCluster(b, fmt.Sprintf("f6-%d", i), 3, 2, 2)
-		_ = cluster
-		next := ares.Config{ID: "c1", Algorithm: ares.TREAS, K: 2, Delta: 2}
-		for j := 1; j <= 3; j++ {
-			next.Servers = append(next.Servers, ares.ProcessID(fmt.Sprintf("f6-%d-n%d", i, j)))
-		}
-		for _, s := range next.Servers {
-			cluster.AddHost(s)
-		}
-		g, err := cluster.NewReconfigurer("g1", ares.ReconOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := g.Reconfig(ctx, next); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkF7CatchUp measures a read that must traverse λ=3 freshly
-// installed configurations (Lemma 59's ν−µ term).
-func BenchmarkF7CatchUp(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cluster, _, _ := benchCluster(b, fmt.Sprintf("f7-%d", i), 3, 2, 2)
-		g, err := cluster.NewReconfigurer("g1", ares.ReconOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for e := 1; e <= 3; e++ {
-			next := ares.Config{ID: ares.ConfigID(fmt.Sprintf("c%d", e)), Algorithm: ares.TREAS, K: 2, Delta: 2}
-			for j := 1; j <= 3; j++ {
-				next.Servers = append(next.Servers, ares.ProcessID(fmt.Sprintf("f7-%d-e%d-s%d", i, e, j)))
-			}
-			for _, s := range next.Servers {
-				cluster.AddHost(s)
-			}
-			if _, err := g.Reconfig(ctx, next); err != nil {
-				b.Fatal(err)
-			}
-		}
-		r, err := cluster.NewClient("r1") // rooted at c0: discovers all 3
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := r.ReadValue(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkF8TerminationThreshold measures reads racing a continuous
-// reconfiguration stream (the Lemma 60 regime).
-func BenchmarkF8TerminationThreshold(b *testing.B) {
-	cluster, _, _ := benchCluster(b, "f8", 3, 2, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g, err := cluster.NewReconfigurer("g1", ares.ReconOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for e := 1; ctx.Err() == nil; e++ {
-			next := ares.Config{ID: ares.ConfigID(fmt.Sprintf("c%d", e)), Algorithm: ares.TREAS, K: 2, Delta: 4}
-			for j := 1; j <= 3; j++ {
-				next.Servers = append(next.Servers, ares.ProcessID(fmt.Sprintf("f8-e%d-s%d", e, j)))
-			}
-			for _, s := range next.Servers {
-				cluster.AddHost(s)
-			}
-			if _, err := g.Reconfig(ctx, next); err != nil {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	r, err := cluster.NewClient("r1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.ReadValue(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	cancel()
-	<-done
-}
 
 // benchStore deploys a sharded ObjectStore over a latency-bearing simnet
 // with nKeys registers pre-instantiated, so the benchmarks measure the
@@ -638,28 +133,5 @@ func BenchmarkStoreShardedFirstTouch(b *testing.B) {
 			}()
 		}
 		wg.Wait()
-	}
-}
-
-// TestExperimentRunnersSmoke keeps every experiment runnable: the full suite
-// is exercised by cmd/ares-bench; here we smoke the cheapest two so CI
-// catches drift in the harness itself.
-func TestExperimentRunnersSmoke(t *testing.T) {
-	t.Parallel()
-	for _, id := range []string{"e2", "e6"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			res, err := experiments.Run(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Table == nil || res.ID != id {
-				t.Fatalf("result = %+v", res)
-			}
-		})
-	}
-	if len(experiments.IDs()) != 14 {
-		t.Fatalf("experiment registry has %d entries, want 14", len(experiments.IDs()))
 	}
 }

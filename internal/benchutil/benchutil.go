@@ -1,7 +1,7 @@
-// Package benchutil provides the measurement utilities shared by the
-// benchmark harness (cmd/ares-bench) and the top-level benchmarks: latency
-// aggregation with percentiles, and aligned table / CSV emission so each
-// experiment prints the same rows the paper's evaluation reports.
+// Package benchutil provides the measurement utilities shared by the paper
+// experiments (internal/experiments) and the examples: latency aggregation
+// with percentiles, and aligned table / CSV emission so each experiment
+// prints the same rows the paper's evaluation reports.
 package benchutil
 
 import (

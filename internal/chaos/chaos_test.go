@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -29,10 +31,40 @@ func requireLinearizable(t *testing.T, v Verdict) {
 		v.Scenario, v.Seed, v.Ops, v.Incomplete, v.Replay())
 }
 
+// chaosSummary is the verdict file TestChaosMatrix writes when
+// ARES_CHAOS_VERDICTS names a path: the scenario → verdict matrix CI
+// archives.
+type chaosSummary struct {
+	Generated string    `json:"generated"`
+	Suite     string    `json:"suite"`
+	Seed      int64     `json:"seed"`
+	Stretch   float64   `json:"stretch"`
+	Verdicts  []Verdict `json:"verdicts"`
+}
+
 // TestChaosMatrix runs every built-in scenario once at smoke duration.
-// Override the seed with ARES_CHAOS_SEED to replay a failure exactly.
+// Override the seed with ARES_CHAOS_SEED to replay a failure exactly. When
+// ARES_CHAOS_VERDICTS names a file, every scenario's verdict is written there
+// as JSON, failed runs included.
 func TestChaosMatrix(t *testing.T) {
 	seed := SeedFromEnv(7)
+	summary := chaosSummary{
+		Generated: time.Now().UTC().Format(time.RFC3339),
+		Suite:     "chaos-scenarios",
+		Seed:      seed,
+		Stretch:   1,
+	}
+	if path := os.Getenv("ARES_CHAOS_VERDICTS"); path != "" {
+		t.Cleanup(func() {
+			data, err := json.MarshalIndent(summary, "", "  ")
+			if err == nil {
+				err = os.WriteFile(path, append(data, '\n'), 0o644)
+			}
+			if err != nil {
+				t.Errorf("write verdicts: %v", err)
+			}
+		})
+	}
 	for _, sc := range Matrix() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -40,6 +72,7 @@ func TestChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("scenario %s seed %d: %v", sc.Name, seed, err)
 			}
+			summary.Verdicts = append(summary.Verdicts, v)
 			requireLinearizable(t, v)
 			if v.Ops < 10 {
 				t.Fatalf("scenario %s seed %d: only %d ops recorded — the workload barely ran", sc.Name, seed, v.Ops)
@@ -265,15 +298,27 @@ func TestSeedFromEnv(t *testing.T) {
 	}
 }
 
-// TestFindScenario covers the lookup the bench CLI uses.
+func TestReplayNamesTheTestThatRunsTheScenario(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		stretch float64
+		want    string
+	}{
+		{1, "ARES_CHAOS_SEED=42 go test ./internal/chaos -run 'TestChaosMatrix/^dup-delay-spike$'"},
+		{3, "ARES_CHAOS_SEED=42 go test ./internal/chaos -run 'TestChaosSoak/^dup-delay-spike$'"},
+	}
+	for _, c := range cases {
+		v := Verdict{Scenario: "dup-delay-spike", Seed: 42, Stretch: c.stretch}
+		if got := v.Replay(); got != c.want {
+			t.Errorf("stretch %g: Replay() = %s, want %s", c.stretch, got, c.want)
+		}
+	}
+}
+
+// TestFindScenario checks the matrix itself: enough scenarios, unique names
+// (so a -run pattern selects exactly one), and a fault schedule on each.
 func TestFindScenario(t *testing.T) {
 	t.Parallel()
-	if _, ok := Find("minority-partition"); !ok {
-		t.Fatal("minority-partition missing from the matrix")
-	}
-	if _, ok := Find("no-such-scenario"); ok {
-		t.Fatal("Find invented a scenario")
-	}
 	if len(Matrix()) < 6 {
 		t.Fatalf("matrix has %d scenarios, acceptance demands ≥ 6", len(Matrix()))
 	}

@@ -71,18 +71,19 @@ type Verdict struct {
 }
 
 // Replay renders the command that reproduces this run's adversarial
-// conditions exactly: same scenario, same seed, same duration stretch.
+// conditions: same scenario, same seed, and the test that runs it at this
+// duration stretch (TestChaosMatrix at 1, the TestChaosSoak soak otherwise).
 func (v Verdict) Replay() string {
-	cmd := fmt.Sprintf("ARES_CHAOS_SEED=%d go run ./cmd/ares-bench -chaos -scenario %s", v.Seed, v.Scenario)
+	test := "TestChaosMatrix"
 	if v.Stretch != 1 {
-		cmd += fmt.Sprintf(" -stretch %g", v.Stretch)
+		test = "TestChaosSoak"
 	}
-	return cmd
+	return fmt.Sprintf("ARES_CHAOS_SEED=%d go test ./internal/chaos -run '%s/^%s$'", v.Seed, test, v.Scenario)
 }
 
 // SeedFromEnv returns the seed pinned in the ARES_CHAOS_SEED environment
 // variable, or def when unset/unparsable — the replay hook every chaos test
-// and the -chaos bench suite route their seed through.
+// routes its seed through.
 func SeedFromEnv(def int64) int64 {
 	if s := os.Getenv("ARES_CHAOS_SEED"); s != "" {
 		if v, err := strconv.ParseInt(s, 10, 64); err == nil {

@@ -311,13 +311,3 @@ func Matrix() []Scenario {
 		},
 	}
 }
-
-// Find returns the named scenario from the matrix.
-func Find(name string) (Scenario, bool) {
-	for _, sc := range Matrix() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}

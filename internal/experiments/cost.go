@@ -40,6 +40,7 @@ func E1StorageCost() (*Result, error) {
 					return nil, err
 				}
 			}
+			net.Quiesce()
 			measured := storageTotal(cluster, c0.Servers)
 			shard := (valueSize + k - 1) / k
 			predicted := (delta + 1) * n * shard
@@ -79,6 +80,7 @@ func E2WriteCommCost() (*Result, error) {
 			return nil, err
 		}
 		const writes = 5
+		net.Quiesce()
 		net.Counters().Reset()
 		for i := 0; i < writes; i++ {
 			if err := w.WriteValue(ctx, value(valueSize, byte(i+1))); err != nil {
@@ -87,6 +89,7 @@ func E2WriteCommCost() (*Result, error) {
 		}
 		// Count only value-bearing traffic: put-data requests. get-tag and
 		// acks are metadata, which the paper's cost model excludes.
+		net.Quiesce()
 		snap := net.Counters().Snapshot()
 		measured := snap["treas/put-data/req"].Bytes / writes
 		shard := (valueSize + k - 1) / k
@@ -138,12 +141,14 @@ func E3ReadCommCost() (*Result, error) {
 				return nil, err
 			}
 			const reads = 5
+			net.Quiesce()
 			net.Counters().Reset()
 			for i := 0; i < reads; i++ {
 				if _, err := r.ReadValue(ctx); err != nil {
 					return nil, err
 				}
 			}
+			net.Quiesce()
 			snap := net.Counters().Snapshot()
 			measured := (snap["treas/query-list/resp"].Bytes + snap["treas/put-data/req"].Bytes) / reads
 			shard := (valueSize + k - 1) / k
@@ -199,16 +204,19 @@ func E4CostComparison() (*Result, error) {
 		}
 		v := value(valueSize, 1)
 
+		net.Quiesce()
 		net.Counters().Reset()
 		if err := client.WriteValue(ctx, v); err != nil {
 			return nil, err
 		}
+		net.Quiesce()
 		writeBytes := net.Counters().TotalBytes(string(d.conf.Algorithm))
 
 		net.Counters().Reset()
 		if _, err := client.ReadValue(ctx); err != nil {
 			return nil, err
 		}
+		net.Quiesce()
 		readBytes := net.Counters().TotalBytes(string(d.conf.Algorithm))
 
 		servers := append([]types.ProcessID(nil), d.conf.Servers...)
@@ -253,6 +261,7 @@ func E5DirectTransfer() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		net.Quiesce()
 		net.Counters().Reset()
 		rec := benchutil.NewLatencyRecorder()
 		if err := rec.Time(func() error {
@@ -261,6 +270,7 @@ func E5DirectTransfer() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		net.Quiesce()
 		snap := net.Counters().Snapshot()
 		// Value-bearing client traffic: lists fetched by get-data plus coded
 		// elements pushed by the client's put-data.

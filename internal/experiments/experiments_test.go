@@ -1,9 +1,37 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+// BenchmarkPaper runs every paper experiment as a sub-benchmark and prints
+// its table and notes, the rows EXPERIMENTS.md records. One experiment:
+//
+//	go test ./internal/experiments -run '^$' -bench 'Paper/e4$' -benchtime 1x
+//
+// f1–f8 together take about 50 s of simulated-network time, which is why
+// they run here and not in the test suite.
+func BenchmarkPaper(b *testing.B) {
+	for _, id := range IDs() {
+		b.Run(id, func(b *testing.B) {
+			var res *Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = Run(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fmt.Printf("\n== %s: %s\n\n", strings.ToUpper(res.ID), res.Title)
+			res.Table.Render(os.Stdout)
+			for _, note := range res.Notes {
+				fmt.Printf("  • %s\n", note)
+			}
+		})
+	}
+}
 
 func TestIDsStableAndComplete(t *testing.T) {
 	t.Parallel()
@@ -28,7 +56,7 @@ func TestRunUnknown(t *testing.T) {
 
 // TestFastExperimentsProduceRows executes the cheap experiments end to end
 // and sanity-checks their tables. The expensive latency figures run through
-// cmd/ares-bench.
+// BenchmarkPaper.
 func TestFastExperimentsProduceRows(t *testing.T) {
 	t.Parallel()
 	for _, id := range []string{"e2", "e5", "e6"} {
@@ -73,6 +101,29 @@ func TestE2CommRatioNearOne(t *testing.T) {
 			t.Errorf("row %q: ratio %s outside [0.9, 1.1)", row, ratio)
 		}
 	}
+}
+
+// TestE4ABDFiveReadWire pins e4's ABD n=5 read column to EXPERIMENTS.md's
+// 5.001 MiB: a quiescent read moves the value from all five servers, and the
+// count must not depend on whether straggler replies landed before the
+// counters were read.
+func TestE4ABDFiveReadWire(t *testing.T) {
+	t.Parallel()
+	res, err := Run("e4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	res.Table.RenderCSV(&sb)
+	for _, row := range strings.Split(sb.String(), "\n") {
+		if fields := strings.Split(row, ","); fields[0] == "ABD n=5" {
+			if read := fields[len(fields)-1]; read != "5.001" {
+				t.Fatalf("ABD n=5 read wire = %s MiB, want 5.001", read)
+			}
+			return
+		}
+	}
+	t.Fatalf("no ABD n=5 row in e4:\n%s", sb.String())
 }
 
 func TestKOfN(t *testing.T) {

@@ -1,152 +1,92 @@
-// Package workload generates the value payloads and closed-loop operation
-// drivers used by the evaluation harness: deterministic pseudo-random values
-// of a configured size and worker pools issuing reads/writes at a chosen
-// mix, mirroring the YCSB-style load the paper's evaluation setting implies.
+// Package workload picks keys for load generators: uniform and YCSB-style
+// zipfian choosers over a key space of n indices, and the canonical key name
+// for an index. The bench harness draws its workload keys from it.
 package workload
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"math/rand"
-	"sync"
-	"time"
-
-	"github.com/ares-storage/ares/internal/types"
 )
 
-// ValueGenerator produces deterministic pseudo-random values of fixed size.
-// It is safe for concurrent use.
-type ValueGenerator struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	size int
+// KeyChooser selects the next key index for one worker. Implementations
+// are not safe for concurrent use: give each worker its own chooser.
+type KeyChooser interface {
+	Next() int
 }
 
-// NewValueGenerator returns a generator of size-byte values seeded for
-// reproducibility.
-func NewValueGenerator(size int, seed int64) *ValueGenerator {
-	return &ValueGenerator{rng: rand.New(rand.NewSource(seed)), size: size}
+// UniformChooser draws keys uniformly from [0, n).
+type UniformChooser struct {
+	n   int
+	rng *rand.Rand
 }
 
-// Next returns a fresh value. Values embed a sequence marker so corrupted
-// reads are distinguishable from stale ones in debugging output.
-func (g *ValueGenerator) Next(seq int) types.Value {
-	v := make(types.Value, g.size)
-	g.mu.Lock()
-	g.rng.Read(v)
-	g.mu.Unlock()
-	marker := fmt.Sprintf("#%08d#", seq)
-	copy(v, marker[:minInt(len(marker), len(v))])
-	return v
+// NewUniformChooser returns a uniform chooser over n keys.
+func NewUniformChooser(n int, seed int64) *UniformChooser {
+	if n < 1 {
+		n = 1
+	}
+	return &UniformChooser{n: n, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Size returns the configured value size.
-func (g *ValueGenerator) Size() int { return g.size }
+// Next implements KeyChooser.
+func (u *UniformChooser) Next() int { return u.rng.Intn(u.n) }
 
-// Stats aggregates a driver run.
-type Stats struct {
-	Reads     int
-	Writes    int
-	ReadErrs  int
-	WriteErrs int
-	Elapsed   time.Duration
+// ZipfianChooser draws keys from the YCSB-style zipfian distribution over
+// [0, n): key 0 is the hottest, with skew parameter theta in (0, 1) —
+// theta 0.99 is the YCSB default. It implements Gray et al.'s rejection-free
+// quick zipfian ("Quickly generating billion-record synthetic databases"),
+// which is also the generator YCSB itself ships.
+type ZipfianChooser struct {
+	n     int
+	theta float64
+	alpha float64
+	zetan float64
+	eta   float64
+	rng   *rand.Rand
 }
 
-// Ops returns total successful operations.
-func (s Stats) Ops() int { return s.Reads + s.Writes }
+// NewZipfianChooser returns a zipfian chooser over n keys with the given
+// theta. Theta values outside (0, 1) are clamped to the YCSB default 0.99.
+func NewZipfianChooser(n int, theta float64, seed int64) *ZipfianChooser {
+	if n < 1 {
+		n = 1
+	}
+	if theta <= 0 || theta >= 1 {
+		theta = 0.99
+	}
+	z := &ZipfianChooser{
+		n:     n,
+		theta: theta,
+		alpha: 1 / (1 - theta),
+		zetan: zeta(n, theta),
+		rng:   rand.New(rand.NewSource(seed)),
+	}
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	return z
+}
 
-// Throughput returns successful operations per second.
-func (s Stats) Throughput() float64 {
-	if s.Elapsed <= 0 {
+// zeta computes the generalized harmonic number sum_{i=1..n} 1/i^theta.
+func zeta(n int, theta float64) float64 {
+	var sum float64
+	for i := 1; i <= n; i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+	}
+	return sum
+}
+
+// Next implements KeyChooser.
+func (z *ZipfianChooser) Next() int {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	if uz < 1 {
 		return 0
 	}
-	return float64(s.Ops()) / s.Elapsed.Seconds()
-}
-
-// Client is the operation surface a driver exercises — satisfied by the
-// public ares.Client and by internal test fakes.
-type Client interface {
-	WriteValue(ctx context.Context, v types.Value) error
-	ReadValue(ctx context.Context) (types.Value, error)
-}
-
-// Driver runs a closed-loop workload: each worker issues one operation at a
-// time, choosing writes with probability writeRatio.
-type Driver struct {
-	Workers    int
-	WriteRatio float64
-	Duration   time.Duration
-	ValueSize  int
-	Seed       int64
-}
-
-// Run drives the clients (one per worker; len(clients) must equal Workers)
-// until Duration elapses or ctx is cancelled, and returns aggregate stats.
-func (d Driver) Run(ctx context.Context, clients []Client) (Stats, error) {
-	if len(clients) != d.Workers {
-		return Stats{}, fmt.Errorf("workload: %d clients for %d workers", len(clients), d.Workers)
+	if uz < 1+math.Pow(0.5, z.theta) {
+		return 1
 	}
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if d.Duration > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, d.Duration)
-		defer cancel()
-	}
-
-	var (
-		mu    sync.Mutex
-		total Stats
-		wg    sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < d.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gen := NewValueGenerator(d.ValueSize, d.Seed+int64(w))
-			rng := rand.New(rand.NewSource(d.Seed ^ int64(w)<<16))
-			var local Stats
-			for seq := 0; ; seq++ {
-				if runCtx.Err() != nil {
-					break
-				}
-				if rng.Float64() < d.WriteRatio {
-					if err := clients[w].WriteValue(runCtx, gen.Next(seq)); err != nil {
-						if runCtx.Err() != nil {
-							break // cancellation, not a protocol failure
-						}
-						local.WriteErrs++
-					} else {
-						local.Writes++
-					}
-				} else {
-					if _, err := clients[w].ReadValue(runCtx); err != nil {
-						if runCtx.Err() != nil {
-							break
-						}
-						local.ReadErrs++
-					} else {
-						local.Reads++
-					}
-				}
-			}
-			mu.Lock()
-			total.Reads += local.Reads
-			total.Writes += local.Writes
-			total.ReadErrs += local.ReadErrs
-			total.WriteErrs += local.WriteErrs
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	total.Elapsed = time.Since(start)
-	return total, nil
+	return int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Key renders the canonical key name for index i.
+func Key(i int) string { return fmt.Sprintf("key-%06d", i) }

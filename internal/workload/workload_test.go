@@ -1,175 +1,57 @@
 package workload
 
-import (
-	"context"
-	"errors"
-	"strings"
-	"sync"
-	"testing"
-	"time"
+import "testing"
 
-	"github.com/ares-storage/ares/internal/types"
-)
-
-func TestValueGeneratorSizeAndMarker(t *testing.T) {
+func TestUniformChooserCoversKeySpace(t *testing.T) {
 	t.Parallel()
-	g := NewValueGenerator(128, 42)
-	v := g.Next(7)
-	if len(v) != 128 {
-		t.Fatalf("len = %d", len(v))
+	u := NewUniformChooser(8, 1)
+	seen := make(map[int]bool)
+	for i := 0; i < 1000; i++ {
+		k := u.Next()
+		if k < 0 || k >= 8 {
+			t.Fatalf("key %d out of range", k)
+		}
+		seen[k] = true
 	}
-	if !strings.HasPrefix(string(v), "#00000007#") {
-		t.Fatalf("marker missing: %q", v[:16])
+	if len(seen) != 8 {
+		t.Fatalf("uniform chooser visited %d/8 keys", len(seen))
 	}
 }
 
-func TestValueGeneratorDeterministic(t *testing.T) {
+func TestZipfianChooserSkewAndRange(t *testing.T) {
 	t.Parallel()
-	a := NewValueGenerator(64, 1).Next(0)
-	b := NewValueGenerator(64, 1).Next(0)
-	if !a.Equal(b) {
-		t.Fatal("same seed produced different values")
+	const n, draws = 100, 20000
+	z := NewZipfianChooser(n, 0.99, 7)
+	counts := make([]int, n)
+	for i := 0; i < draws; i++ {
+		k := z.Next()
+		if k < 0 || k >= n {
+			t.Fatalf("key %d out of range", k)
+		}
+		counts[k]++
 	}
-	c := NewValueGenerator(64, 2).Next(0)
-	if a.Equal(c) {
-		t.Fatal("different seeds produced identical values")
+	// Key 0 must be the hottest by a wide margin, and the head must
+	// dominate: the top 10 keys of a theta=0.99 zipfian carry well over
+	// half the mass.
+	var head int
+	for _, c := range counts[:10] {
+		head += c
+	}
+	if head < draws/2 {
+		t.Fatalf("top-10 keys drew %d/%d operations; distribution not skewed", head, draws)
+	}
+	if counts[0] < counts[n-1] {
+		t.Fatalf("tail key hotter than head: %d vs %d", counts[n-1], counts[0])
 	}
 }
 
-func TestValueGeneratorTinyValues(t *testing.T) {
+func TestZipfianChooserDeterministic(t *testing.T) {
 	t.Parallel()
-	g := NewValueGenerator(4, 1)
-	v := g.Next(123456)
-	if len(v) != 4 {
-		t.Fatalf("len = %d", len(v))
-	}
-}
-
-func TestValueGeneratorConcurrent(t *testing.T) {
-	t.Parallel()
-	g := NewValueGenerator(32, 9)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if len(g.Next(j)) != 32 {
-					t.Error("wrong size")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// fakeClient counts operations and can inject failures.
-type fakeClient struct {
-	mu       sync.Mutex
-	writes   int
-	reads    int
-	failNext bool
-}
-
-func (f *fakeClient) WriteValue(ctx context.Context, v types.Value) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failNext {
-		f.failNext = false
-		return errors.New("injected")
-	}
-	f.writes++
-	return nil
-}
-
-func (f *fakeClient) ReadValue(ctx context.Context) (types.Value, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.reads++
-	return types.Value("x"), nil
-}
-
-func TestDriverRunsMix(t *testing.T) {
-	t.Parallel()
-	clients := []Client{&fakeClient{}, &fakeClient{}}
-	d := Driver{Workers: 2, WriteRatio: 0.5, Duration: 50 * time.Millisecond, ValueSize: 16, Seed: 1}
-	stats, err := d.Run(context.Background(), clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ops() == 0 {
-		t.Fatal("no operations completed")
-	}
-	if stats.Reads == 0 || stats.Writes == 0 {
-		t.Fatalf("mix not exercised: %+v", stats)
-	}
-	if stats.Throughput() <= 0 {
-		t.Fatalf("throughput = %f", stats.Throughput())
-	}
-}
-
-func TestDriverWriteOnly(t *testing.T) {
-	t.Parallel()
-	c := &fakeClient{}
-	d := Driver{Workers: 1, WriteRatio: 1.0, Duration: 20 * time.Millisecond, ValueSize: 8, Seed: 2}
-	stats, err := d.Run(context.Background(), []Client{c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Reads != 0 {
-		t.Fatalf("write-only run performed %d reads", stats.Reads)
-	}
-	if stats.Writes == 0 {
-		t.Fatal("no writes")
-	}
-}
-
-func TestDriverCountsErrors(t *testing.T) {
-	t.Parallel()
-	c := &fakeClient{failNext: true}
-	d := Driver{Workers: 1, WriteRatio: 1.0, Duration: 20 * time.Millisecond, ValueSize: 8, Seed: 3}
-	stats, err := d.Run(context.Background(), []Client{c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WriteErrs != 1 {
-		t.Fatalf("write errors = %d, want 1", stats.WriteErrs)
-	}
-}
-
-func TestDriverValidatesClientCount(t *testing.T) {
-	t.Parallel()
-	d := Driver{Workers: 3}
-	if _, err := d.Run(context.Background(), []Client{&fakeClient{}}); err == nil {
-		t.Fatal("mismatched client count accepted")
-	}
-}
-
-func TestDriverHonorsCancellation(t *testing.T) {
-	t.Parallel()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	d := Driver{Workers: 1, WriteRatio: 0.5, ValueSize: 8, Seed: 4} // no Duration: runs until ctx
-	stats, err := d.Run(ctx, []Client{&fakeClient{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ops() != 0 {
-		t.Fatalf("cancelled run performed %d ops", stats.Ops())
-	}
-}
-
-func TestStatsAccessors(t *testing.T) {
-	t.Parallel()
-	s := Stats{Reads: 3, Writes: 2, Elapsed: time.Second}
-	if s.Ops() != 5 {
-		t.Fatalf("Ops = %d", s.Ops())
-	}
-	if s.Throughput() != 5.0 {
-		t.Fatalf("Throughput = %f", s.Throughput())
-	}
-	if (Stats{}).Throughput() != 0 {
-		t.Fatal("zero stats throughput not 0")
+	a := NewZipfianChooser(50, 0.99, 3)
+	b := NewZipfianChooser(50, 0.99, 3)
+	for i := 0; i < 100; i++ {
+		if x, y := a.Next(), b.Next(); x != y {
+			t.Fatalf("draw %d diverged: %d vs %d", i, x, y)
+		}
 	}
 }

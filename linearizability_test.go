@@ -344,10 +344,9 @@ func TestStoreLinearizabilityMultiKeySoak(t *testing.T) {
 	t.Logf("multi-key soak: %d atomic operations across %d keys", totalOps, len(keys))
 }
 
-// TestWorkloadDriverOverPublicAPI integrates the workload driver with the
-// public client surface (the shape cmd/ares-bench uses) and sanity-checks
-// throughput accounting.
-func TestWorkloadDriverOverPublicAPI(t *testing.T) {
+// TestConcurrentWritersOverPublicAPI drives two public clients writing
+// concurrently for a fixed window and checks both make progress.
+func TestConcurrentWritersOverPublicAPI(t *testing.T) {
 	t.Parallel()
 	c0 := treasCfg("c0", "wd", 5, 3, 8)
 	cluster, err := ares.NewCluster(c0, ares.NewSimNetwork())

@@ -3,6 +3,7 @@ package ares_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -144,6 +145,102 @@ func TestObjectStoreEvictionSurvivesReconfigChurn(t *testing.T) {
 	}
 	if string(got) != "written-after-churn" {
 		t.Fatalf("read-your-write after churn = %q", got)
+	}
+}
+
+// TestReconfigChurnCensus walks 100 keys through 10 reconfigurations each
+// (TREAS [5,3] ↔ ABD on one set of 5 servers) and takes a census: the
+// lifecycle GC must retire superseded state, keep at most 60 live (key,
+// config) states per key once finalization settles (live window ≈ tail DAP +
+// tail pointer across 5 servers, ~10; without GC the 11-config chain retains
+// 100+), and leave the post-GC heap per key within 1.5× that of a store that
+// never reconfigured. Not parallel, so no concurrent test moves the heap.
+func TestReconfigChurnCensus(t *testing.T) {
+	const (
+		keys, walks, workers = 100, 10, 8
+		maxLivePerKey        = 60
+		maxHeapRatio         = 1.5
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	value := make(ares.Value, 128)
+	// forEachKey runs fn for every key on workers goroutines.
+	forEachKey := func(fn func(key string) error) {
+		t.Helper()
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				var err error
+				for i := w; i < keys && err == nil; i += workers {
+					err = fn(fmt.Sprintf("ck-%04d", i))
+				}
+				errs <- err
+			}(w)
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heapAlloc := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+
+	// Baseline: the same deployment, every key written once, no churn.
+	base, _, _ := gcStoreFixture(t, "censusbase")
+	start := heapAlloc()
+	forEachKey(func(key string) error { return base.Put(ctx, key, value) })
+	baseline := float64(heapAlloc()-start) / keys
+
+	store, cluster, servers := gcStoreFixture(t, "census")
+	start = heapAlloc()
+	forEachKey(func(key string) error { return store.Put(ctx, key, value) })
+	forEachKey(func(key string) error {
+		for i := 1; i <= walks; i++ {
+			next := ares.Config{ID: ares.ConfigID(fmt.Sprintf("census/%s/c%d", key, i)), Servers: servers}
+			if i%2 == 0 {
+				next.Algorithm = ares.ABD
+			} else {
+				next.Algorithm, next.K, next.Delta = ares.TREAS, 3, 32
+			}
+			if err := store.ReconfigureKey(ctx, key, next, ares.ReconOptions{}); err != nil {
+				return fmt.Errorf("walk %d of %s: %w", i, key, err)
+			}
+		}
+		return nil
+	})
+	// One read per key goes through the retired-configuration redirect.
+	forEachKey(func(key string) error {
+		_, err := store.Get(ctx, key)
+		return err
+	})
+
+	deadline := time.Now().Add(3 * time.Second)
+	live := cluster.MaterializedStates()
+	for live > maxLivePerKey*keys && time.Now().Before(deadline) {
+		time.Sleep(25 * time.Millisecond)
+		live = cluster.MaterializedStates()
+	}
+	retired := cluster.RetiredStates()
+	// Each idle per-key client pins its whole configuration sequence; evict
+	// them so the census weighs server state and tombstones only.
+	evicted := store.EvictIdle(0)
+	heap := float64(heapAlloc()-start) / keys
+	t.Logf("live %d (%.1f/key), retired %d, evicted %d, heap %.0f → %.0f B/key (%.2fx)",
+		live, float64(live)/keys, retired, evicted, baseline, heap, heap/baseline)
+
+	if retired == 0 {
+		t.Errorf("%d walks completed but no state was retired: the lifecycle GC never fired", keys*walks)
+	}
+	if perKey := float64(live) / keys; perKey > maxLivePerKey {
+		t.Errorf("%.1f live states per key after %d walks, want ≤ %d: retained state grows with walks", perKey, walks, maxLivePerKey)
+	}
+	if baseline > 0 && heap > maxHeapRatio*baseline {
+		t.Errorf("post-GC heap %.0f B/key is %.2fx the no-churn %.0f B/key, want ≤ %.1fx", heap, heap/baseline, baseline, maxHeapRatio)
 	}
 }
 
