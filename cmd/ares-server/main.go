@@ -40,7 +40,6 @@ func run() error {
 		bootstrap = flag.String("bootstrap", "", "initial configuration spec (optional; see package doc)")
 		dataDir   = flag.String("data-dir", "", "data directory for WAL + snapshots (empty = in-memory server, no crash recovery)")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every group commit (only meaningful with -data-dir)")
-		coalesce  = flag.Bool("fsync-coalesce", true, "batch fsync barriers across WAL stripes (only meaningful with -fsync); false restores sync-per-burst")
 		opsAddr   = flag.String("ops-addr", "", "ops HTTP listen address: /metrics, /metrics.json, pprof, /healthz, and the /admin API (empty = disabled)")
 	)
 	flag.Parse()
@@ -70,7 +69,7 @@ func run() error {
 	}
 
 	srv, stats, err := ares.NewServerWithDurability(ares.ProcessID(*id), *listen, book,
-		ares.Durability{Dir: *dataDir, Fsync: *fsync, NoFsyncCoalesce: !*coalesce})
+		ares.Durability{Dir: *dataDir, Fsync: *fsync})
 	if err != nil {
 		return err
 	}

@@ -61,11 +61,15 @@ func run() error {
 		}
 		value := make(ares.Value, valueSize)
 
-		// One write, measured.
+		// One write, measured. Quiesce before each reset and read: a quorum
+		// op returns before its straggler replies land, and those must be
+		// counted in the op that sent them, not the next one.
+		net.Quiesce()
 		net.Counters().Reset()
 		if err := client.WriteValue(ctx, value); err != nil {
 			return err
 		}
+		net.Quiesce()
 		writeBytes := net.Counters().TotalBytes(string(d.conf.Algorithm))
 
 		// One read, measured.
@@ -73,6 +77,7 @@ func run() error {
 		if _, err := client.ReadValue(ctx); err != nil {
 			return err
 		}
+		net.Quiesce()
 		readBytes := net.Counters().TotalBytes(string(d.conf.Algorithm))
 
 		// Storage at rest across all servers.

@@ -41,21 +41,12 @@ func (r *LatencyRecorder) Time(fn func() error) error {
 	return err
 }
 
-// Count returns the number of samples.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
 // Summary holds aggregate latency statistics.
 type Summary struct {
 	Count int
 	Mean  time.Duration
 	P50   time.Duration
 	P95   time.Duration
-	P99   time.Duration
-	Max   time.Duration
 }
 
 // Summarize computes the summary of all recorded samples.
@@ -78,8 +69,6 @@ func (r *LatencyRecorder) Summarize() Summary {
 		Mean:  total / time.Duration(len(samples)),
 		P50:   percentile(samples, 0.50),
 		P95:   percentile(samples, 0.95),
-		P99:   percentile(samples, 0.99),
-		Max:   samples[len(samples)-1],
 	}
 }
 

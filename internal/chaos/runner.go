@@ -131,14 +131,10 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 		readers = 1
 	}
 
-	netOpts := []transport.SimnetOption{
+	net := transport.NewSimnet(
 		transport.WithDelayRange(sc.Delay.Min, sc.Delay.Max),
 		transport.WithSeed(seed),
-	}
-	if sc.Batching {
-		netOpts = append(netOpts, transport.WithSimBatching())
-	}
-	net := transport.NewSimnet(netOpts...)
+	)
 	defer net.Close()
 
 	root := sc.Template

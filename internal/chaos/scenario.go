@@ -57,12 +57,6 @@ type Scenario struct {
 	// an EvRestart comes back amnesiac (honest, but quorum-unsafe — a
 	// scenario asserting linearizability across a restart must be Durable).
 	Durable bool
-	// Batching routes simulated delivery through the cross-key envelope
-	// coalescing seam (transport.WithSimBatching): concurrent requests to
-	// one destination are packed through the real FrameBatch codec before
-	// dispatch. Scenarios set it to prove coalescing preserves per-key
-	// linearizability under the same faults.
-	Batching bool
 	// MaxStatesPerKey, when positive, asserts the configuration-lifecycle GC
 	// after the run: the per-server (key, config) state entries retained
 	// across the cluster, divided by the key count, must not exceed this
@@ -270,24 +264,6 @@ func Matrix() []Scenario {
 				return Schedule{
 					{At: 100 * time.Millisecond, Kind: EvDefaultFaults, Faults: transport.LinkFaults{Drop: 0.05}},
 					{At: 1200 * time.Millisecond, Kind: EvClearFaults},
-				}
-			},
-		},
-		{
-			Name: "batched-coalescing",
-			Description: "64 keys' quorum phases coalesce through shared FrameBatch frames (the TCP writer-path seam mirrored in Simnet) while a minority partition opens and heals; " +
-				"cross-key batching and the one-round read fast path must preserve per-key linearizability",
-			Template: abdTemplate("bat", 5),
-			Keys:     64, Writers: 1, Readers: 2,
-			Batching: true,
-			Duration: 600 * time.Millisecond,
-			Delay:    transport.DelayRange{Max: 2 * time.Millisecond},
-			Schedule: func(env Env) Schedule {
-				minority := env.Servers[3:]
-				rest := append(append([]types.ProcessID{}, env.Servers[:3]...), env.Clients...)
-				return Schedule{
-					{At: 150 * time.Millisecond, Kind: EvPartition, A: minority, B: rest},
-					{At: 450 * time.Millisecond, Kind: EvHeal, A: minority, B: rest},
 				}
 			},
 		},

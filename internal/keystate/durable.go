@@ -1,7 +1,7 @@
 package keystate
 
 // Durability is the disk layer under a host's keyed services: a striped WAL
-// plus periodic snapshots, with recovery replaying snapshot + log tail before
+// plus compacting snapshots, with recovery replaying snapshot + log tail before
 // the node serves its first envelope.
 //
 // Ordering model. Mutations journal BEFORE they apply and acknowledge
@@ -78,12 +78,9 @@ type RecoveryStats struct {
 }
 
 type durOptions struct {
-	fsync            bool
-	coalesceFsync    bool
-	stripes          int
-	snapshotInterval time.Duration
-	compactRetires   int64
-	logf             func(format string, args ...any)
+	fsync          bool
+	stripes        int
+	compactRetires int64
 }
 
 // DurOption tunes OpenDurability.
@@ -94,36 +91,15 @@ type DurOption func(*durOptions)
 // machine crashes — which is the bench's throughput baseline.
 func WithFsync(on bool) DurOption { return func(o *durOptions) { o.fsync = on } }
 
-// WithFsyncCoalescing toggles cross-stripe fsync batching (default on, only
-// meaningful with fsync on): stripe writers hand their group commits to a
-// shared coalescer that syncs each file once per window and answers every
-// burst in it, instead of each stripe paying — and blocking its writer on —
-// its own barrier per burst. Acknowledgments still strictly follow the sync.
-// Off restores the inline sync-per-burst behavior (the bench's comparison
-// baseline).
-func WithFsyncCoalescing(on bool) DurOption { return func(o *durOptions) { o.coalesceFsync = on } }
-
 // WithWALStripes sets the WAL stripe count (default 8, rounded up to a power
 // of two). More stripes mean more group-commit writers and fewer keys per
 // fsync batch.
 func WithWALStripes(n int) DurOption { return func(o *durOptions) { o.stripes = n } }
 
-// WithSnapshotInterval enables periodic snapshots (default off; Start must
-// be called either way for retirement-triggered compaction).
-func WithSnapshotInterval(d time.Duration) DurOption {
-	return func(o *durOptions) { o.snapshotInterval = d }
-}
-
 // WithCompactAfterRetires sets how many retirement records accumulate before
 // a compacting snapshot is triggered (default 64; <= 0 disables).
 func WithCompactAfterRetires(n int) DurOption {
 	return func(o *durOptions) { o.compactRetires = int64(n) }
-}
-
-// WithLogf routes the layer's diagnostics (torn tails, failed background
-// snapshots) to a logger (default: discarded).
-func WithLogf(logf func(format string, args ...any)) DurOption {
-	return func(o *durOptions) { o.logf = logf }
 }
 
 // Durability owns one host's WAL stripes, snapshots, and recovery.
@@ -138,7 +114,6 @@ type Durability struct {
 	metaLog    *wal
 	stripeLogs []*wal
 	stripeMask uint32
-	coal       *syncCoalescer // non-nil iff fsync coalescing is active
 
 	// gate serializes journal→apply spans against snapshot rotation: every
 	// Journal.Append / AppendInstall holds the read side until its mutation
@@ -164,10 +139,8 @@ type Durability struct {
 func OpenDurability(dir string, opts ...DurOption) (*Durability, error) {
 	o := durOptions{
 		fsync:          true,
-		coalesceFsync:  true,
 		stripes:        8,
 		compactRetires: 64,
-		logf:           func(string, ...any) {},
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -239,8 +212,6 @@ func (d *Durability) replayLog(name string, fn func(r Record) error) (lastSeq in
 			}
 			d.stats.TornSegments++
 			d.stats.TornBytes += info.Size() - validLen
-			d.opts.logf("keystate: %s: truncating torn tail at %d (%d bytes dropped)",
-				p, validLen, info.Size()-validLen)
 			if err := os.Truncate(p, validLen); err != nil {
 				return 0, fmt.Errorf("keystate: truncating %s: %w", p, err)
 			}
@@ -286,14 +257,12 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 		case RecordInstall:
 			if err := d.meta.ReplayInstall(r.Payload); err != nil {
 				d.stats.Skipped++
-				d.opts.logf("keystate: skipping install replay: %v", err)
 				return nil
 			}
 			d.stats.Installs++
 		case RecordRetire:
 			if err := d.meta.ReplayRetire(r.Key, r.Config, r.Payload); err != nil {
 				d.stats.Skipped++
-				d.opts.logf("keystate: skipping retire replay of (%s,%s): %v", r.Key, r.Config, err)
 				return nil
 			}
 			d.stats.Retires++
@@ -357,16 +326,13 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 
 	// 3. Open the logs for appending (continuing the highest segment, whose
 	// torn tail — if any — was just truncated) and go live.
-	if d.opts.fsync && d.opts.coalesceFsync {
-		d.coal = newSyncCoalescer()
-	}
-	d.metaLog, err = openWAL(d.dir, "meta", metaSeq, d.opts.fsync, d.coal)
+	d.metaLog, err = openWAL(d.dir, "meta", metaSeq, d.opts.fsync)
 	if err != nil {
 		return d.stats, err
 	}
 	d.stripeLogs = make([]*wal, d.opts.stripes)
 	for i := 0; i < d.opts.stripes; i++ {
-		d.stripeLogs[i], err = openWAL(d.dir, d.stripeName(i), stripeSeqs[i], d.opts.fsync, d.coal)
+		d.stripeLogs[i], err = openWAL(d.dir, d.stripeName(i), stripeSeqs[i], d.opts.fsync)
 		if err != nil {
 			return d.stats, err
 		}
@@ -386,29 +352,6 @@ func (d *Durability) Stats() RecoveryStats { return d.stats }
 
 // Dir returns the durability directory.
 func (d *Durability) Dir() string { return d.dir }
-
-// SyncStats reports the fsync coalescer's counters: barriers is the number
-// of file syncs actually performed, bursts the number of group commits they
-// acknowledged. bursts/barriers > 1 is the cross-stripe batching win; both
-// are zero when coalescing (or fsync) is off.
-func (d *Durability) SyncStats() (barriers, bursts int64) {
-	if d.coal == nil {
-		return 0, 0
-	}
-	return d.coal.stats()
-}
-
-// WALBytes sums the active segments' sizes (bench instrumentation).
-func (d *Durability) WALBytes() int64 {
-	if !d.recovered {
-		return 0
-	}
-	total := d.metaLog.sizeBytes()
-	for _, w := range d.stripeLogs {
-		total += w.sizeBytes()
-	}
-	return total
-}
 
 // Journal is a service's handle for journaling live mutations, bound to its
 // family.
@@ -564,10 +507,12 @@ func (d *Durability) Snapshot() error {
 	return nil
 }
 
-// Start launches the background snapshot scheduler: periodic snapshots when
-// WithSnapshotInterval was set, plus retirement-triggered compaction. Call
-// after recovery (and after any post-recovery fixups) so a snapshot never
-// races the single-threaded startup path.
+// Start launches the background snapshot scheduler: retirement-triggered
+// compaction. Call after recovery (and after any post-recovery fixups) so a
+// snapshot never races the single-threaded startup path. A failed
+// background snapshot leaves the logs intact (segments are deleted only
+// after the snapshot is durable) and counts into
+// ares_wal_snapshot_failures_total.
 func (d *Durability) Start() {
 	if !d.recovered || d.started.Swap(true) {
 		return
@@ -575,21 +520,14 @@ func (d *Durability) Start() {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		var tick <-chan time.Time
-		if d.opts.snapshotInterval > 0 {
-			t := time.NewTicker(d.opts.snapshotInterval)
-			defer t.Stop()
-			tick = t.C
-		}
 		for {
 			select {
 			case <-d.quit:
 				return
 			case <-d.kick:
-			case <-tick:
 			}
 			if err := d.Snapshot(); err != nil && !errors.Is(err, errWALClosed) {
-				d.opts.logf("keystate: background snapshot: %v", err)
+				walSnapshotFailures.Inc()
 			}
 		}
 	}()
@@ -609,11 +547,6 @@ func (d *Durability) Close() error {
 			if cerr := w.close(); err == nil {
 				err = cerr
 			}
-		}
-		if d.coal != nil {
-			// Every log is closed, so no new bursts can arrive; drain the
-			// outstanding windows and stop the loop.
-			d.coal.stop()
 		}
 	}
 	return err

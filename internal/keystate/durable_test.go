@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ares-storage/ares/internal/cfg"
 )
@@ -512,6 +513,45 @@ func TestDurabilityRetireTriggersCompaction(t *testing.T) {
 	defer d2.Close()
 	if got := svc2.get("gc-me", "c0"); got != nil {
 		t.Fatalf("retired state resurrected from snapshot: %v", got)
+	}
+}
+
+// TestDurabilityCountsBackgroundSnapshotFailures pins that a failed
+// retirement-triggered snapshot is counted, not dropped, and that the failed
+// rotation leaves every log appendable and closable.
+func TestDurabilityCountsBackgroundSnapshotFailures(t *testing.T) {
+	dir := t.TempDir()
+	d, _, _ := openTestDurability(t, dir, WithWALStripes(1), WithCompactAfterRetires(1))
+	if _, err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	// With the directory gone, the snapshot's rotation cannot open the next
+	// segment; the open segments stay writable through their descriptors.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	before := walSnapshotFailures.Load()
+	if err := d.AppendRetire("k", "c0", nil); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for walSnapshotFailures.Load()-before < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("background snapshot failure was not counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := walSnapshotFailures.Load() - before; got != 1 {
+		t.Fatalf("ares_wal_snapshot_failures_total delta = %d, want 1", got)
+	}
+	release, err := d.AppendInstall([]byte("cfg-c1"))
+	if err != nil {
+		t.Fatalf("append after a failed rotation: %v", err)
+	}
+	release()
+	if err := d.Close(); err != nil {
+		t.Fatalf("close after a failed rotation: %v", err)
 	}
 }
 

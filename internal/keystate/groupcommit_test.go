@@ -6,25 +6,19 @@ import (
 	"testing"
 )
 
-// TestWALFsyncCoalescerSharesBarriers pins the coalescer's invariants at the
-// wal level: under concurrent appends across stripes every record lands
-// exactly once and durably (acks follow syncs), and the barrier count never
-// exceeds the burst count — each window syncs a file at most once however
-// many bursts it acknowledges.
-func TestWALFsyncCoalescerSharesBarriers(t *testing.T) {
+// TestWALGroupCommitSharesFsyncs pins inline group commit on one fsync-on
+// stripe: under concurrent appenders every record lands exactly once, each
+// burst costs at most one fsync, and bursts do group — fewer commits than
+// appends.
+func TestWALGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	coal := newSyncCoalescer()
-	const stripes = 4
-	ws := make([]*wal, stripes)
-	for i := range ws {
-		w, err := openWAL(dir, fmt.Sprintf("s%d", i), 1, true, coal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
+	w, err := openWAL(dir, "s0", 1, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	appends0, commits0, fsyncs0 := walAppends.Load(), walCommits.Load(), walFsyncs.Load()
 
-	const writers, per = 8, 25
+	const writers, per = 16, 25
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
@@ -32,7 +26,7 @@ func TestWALFsyncCoalescerSharesBarriers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r := Record{Kind: RecordApply, Family: "abd", Key: fmt.Sprintf("g%d-i%d", g, i), Config: "c", Op: 1}
-				if err := ws[(g+i)%stripes].append(appendRecord(nil, &r)); err != nil {
+				if err := w.append(appendRecord(nil, &r)); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -40,44 +34,41 @@ func TestWALFsyncCoalescerSharesBarriers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for _, w := range ws {
-		if err := w.close(); err != nil {
-			t.Fatal(err)
-		}
+	// Read before close, whose own final barrier is not a burst's.
+	appends := walAppends.Load() - appends0
+	commits := walCommits.Load() - commits0
+	fsyncs := walFsyncs.Load() - fsyncs0
+	if err := w.close(); err != nil {
+		t.Fatal(err)
 	}
-	coal.stop()
+	if appends != writers*per {
+		t.Fatalf("appends delta = %d, want %d", appends, writers*per)
+	}
+	if fsyncs == 0 || fsyncs > commits || commits >= appends {
+		t.Fatalf("fsyncs=%d commits=%d appends=%d: want 0 < fsyncs ≤ commits < appends", fsyncs, commits, appends)
+	}
 
-	barriers, bursts := coal.stats()
-	if bursts == 0 {
-		t.Fatal("no bursts went through the coalescer")
+	records, _, torn, err := readSegment(segPath(dir, "s0", 1))
+	if err != nil || torn {
+		t.Fatalf("torn=%v err=%v", torn, err)
 	}
-	if barriers == 0 || barriers > bursts {
-		t.Fatalf("barriers=%d bursts=%d: want 0 < barriers ≤ bursts", barriers, bursts)
-	}
-
 	seen := make(map[string]bool)
-	for i := 0; i < stripes; i++ {
-		records, _, torn, err := readSegment(segPath(dir, fmt.Sprintf("s%d", i), 1))
-		if err != nil || torn {
-			t.Fatalf("stripe %d: torn=%v err=%v", i, torn, err)
+	for _, r := range records {
+		if seen[r.Key] {
+			t.Fatalf("duplicate record %q", r.Key)
 		}
-		for _, r := range records {
-			if seen[r.Key] {
-				t.Fatalf("duplicate record %q", r.Key)
-			}
-			seen[r.Key] = true
-		}
+		seen[r.Key] = true
 	}
 	if len(seen) != writers*per {
 		t.Fatalf("got %d unique records, want %d", len(seen), writers*per)
 	}
 }
 
-// TestDurabilityFsyncCoalescedRecover runs the full journal → snapshot →
-// recover cycle with fsync + coalescing on (the production default): nothing
-// acknowledged may be missing after reopen, and the mid-run snapshot's
-// rotation must not strand or double-sync coalescer windows.
-func TestDurabilityFsyncCoalescedRecover(t *testing.T) {
+// TestDurabilityFsyncConcurrentRecover runs the full journal → snapshot →
+// recover cycle with fsync on (the production default) under concurrent
+// writers: nothing acknowledged may be missing after reopen, and the mid-run
+// snapshot's rotation must not strand a burst written but not yet synced.
+func TestDurabilityFsyncConcurrentRecover(t *testing.T) {
 	dir := t.TempDir()
 	d, svc, _ := openTestDurability(t, dir, WithFsync(true))
 	if _, err := d.Recover(); err != nil {
@@ -109,9 +100,6 @@ func TestDurabilityFsyncCoalescedRecover(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, bursts := d.SyncStats(); bursts == 0 {
-		t.Fatal("fsync-on durability never used the coalescer")
-	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package keystate
 import "github.com/ares-storage/ares/internal/obs"
 
 // Process-wide durability instruments. A test process hosts several
-// Durability instances at once, so the per-instance views (SyncStats,
-// RecoveryStats, WALBytes) remain the per-host source of truth; these
-// registry instruments aggregate across every instance for /metrics.
+// Durability instances at once, so RecoveryStats remains the per-host
+// record of a recovery pass; these registry instruments aggregate across
+// every instance for /metrics.
 var (
 	walAppends = obs.Default.Counter("ares_wal_appends_total",
 		"Records appended to any WAL")
@@ -15,8 +15,6 @@ var (
 		"Group-commit bursts written")
 	walFsyncs = obs.Default.Counter("ares_wal_fsyncs_total",
 		"fsync barriers issued against WAL and snapshot files")
-	walSyncBursts = obs.Default.Counter("ares_wal_sync_bursts_total",
-		"Append bursts answered through the cross-stripe sync coalescer")
 	walAppendSeconds = obs.Default.Histogram("ares_wal_append_seconds",
 		"WAL append latency, enqueue to durable acknowledgment", nil)
 	walFsyncSeconds = obs.Default.Histogram("ares_wal_fsync_seconds",
@@ -25,6 +23,8 @@ var (
 		"Snapshots taken")
 	walSnapshotSeconds = obs.Default.Histogram("ares_wal_snapshot_seconds",
 		"Snapshot write + rotate latency", nil)
+	walSnapshotFailures = obs.Default.Counter("ares_wal_snapshot_failures_total",
+		"Background snapshots that failed (the logs they would have compacted stay)")
 	recoveries = obs.Default.Counter("ares_recovery_runs_total",
 		"Recover calls completed")
 	recoveredApplies = obs.Default.Counter("ares_recovery_applies_total",

@@ -216,17 +216,10 @@ type wal struct {
 	dir   string
 	name  string
 	fsync bool
-	// coal, when set (and fsync is on), routes each burst's sync through the
-	// shared cross-stripe coalescer instead of syncing inline: the writer
-	// pipelines into its next burst while the coalescer folds syncs from many
-	// stripes into one barrier per file per window.
-	coal *syncCoalescer
 
-	mu         sync.Mutex // guards f, seq, size, closed, fileClosed
-	f          *os.File
-	seq        int
-	size       int64
-	fileClosed bool // the final segment was synced and closed
+	mu  sync.Mutex // guards f, seq, closed
+	f   *os.File
+	seq int
 
 	closed bool
 	reqs   chan *walAppend
@@ -274,9 +267,8 @@ func listSegments(dir, name string) (paths []string, lastSeq int, err error) {
 
 // openWAL opens the log for appending at segment seq (creating it if
 // missing) and starts the writer goroutine. Callers replay existing segments
-// — truncating any torn tail — before opening. A non-nil coal enrolls the
-// log in cross-stripe fsync coalescing (meaningful only with fsync on).
-func openWAL(dir, name string, seq int, fsync bool, coal *syncCoalescer) (*wal, error) {
+// — truncating any torn tail — before opening.
+func openWAL(dir, name string, seq int, fsync bool) (*wal, error) {
 	if seq < 1 {
 		seq = 1
 	}
@@ -284,19 +276,12 @@ func openWAL(dir, name string, seq int, fsync bool, coal *syncCoalescer) (*wal, 
 	if err != nil {
 		return nil, err
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
 	w := &wal{
 		dir:   dir,
 		name:  name,
 		fsync: fsync,
-		coal:  coal,
 		f:     f,
 		seq:   seq,
-		size:  info.Size(),
 		reqs:  make(chan *walAppend, 256),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -374,47 +359,26 @@ func (w *wal) writeLoop() {
 	}
 }
 
-// commit writes one burst and answers its appenders — directly when syncing
-// inline, through the shared coalescer when enrolled: the burst's frames are
-// on the file, so the writer hands the sync (and the acknowledgments, which
-// must not precede it) to the coalescer and pipelines into its next burst.
+// commit writes one burst, syncs it once (with fsync on), and only then
+// answers its appenders, so no acknowledgment precedes its barrier. It holds
+// mu throughout, so a rotate (retire records append outside the snapshot
+// gate) cannot switch or close the file between the write and its sync.
 func (w *wal) commit(batch []*walAppend) {
 	walCommits.Inc()
 	w.mu.Lock()
-	f := w.f
 	var err error
 	for _, req := range batch {
 		if err == nil {
-			var n int
-			n, err = f.Write(req.frame)
-			w.size += int64(n)
+			_, err = w.f.Write(req.frame)
 		}
+	}
+	if err == nil && w.fsync {
+		err = timedSync(w.f)
 	}
 	w.mu.Unlock()
-	if err == nil && w.fsync {
-		if w.coal != nil {
-			w.coal.enqueue(w, batch)
-			return
-		}
-		err = w.syncFile()
-	}
 	for _, req := range batch {
 		req.errc <- err
 	}
-}
-
-// syncFile makes the active segment durable. A file already through its
-// final sync-and-close (or rotated away — rotate syncs before closing) needs
-// no barrier: everything written to it is durable already, so a late
-// coalescer window can answer its appenders truthfully without touching a
-// dead descriptor.
-func (w *wal) syncFile() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.fileClosed {
-		return nil
-	}
-	return timedSync(w.f)
 }
 
 // timedSync performs one fsync barrier, attributing it to the registry.
@@ -426,9 +390,10 @@ func timedSync(f *os.File) error {
 	return err
 }
 
-// rotate syncs and closes the active segment, opens the next one, and
-// returns the paths of every earlier segment (the snapshot deletes them once
-// it is durable). The caller must guarantee no concurrent appends.
+// rotate syncs the active segment, switches appends to the next one, closes
+// the old one, and returns the paths of every earlier segment (the snapshot
+// deletes them once it is durable). The next segment opens before the old
+// one closes, so a failed open leaves the log appending where it was.
 func (w *wal) rotate() (oldSegments []string, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -438,7 +403,8 @@ func (w *wal) rotate() (oldSegments []string, err error) {
 	if err := timedSync(w.f); err != nil {
 		return nil, err
 	}
-	if err := w.f.Close(); err != nil {
+	f, err := os.OpenFile(segPath(w.dir, w.name, w.seq+1), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		return nil, err
 	}
 	for seq := 1; seq <= w.seq; seq++ {
@@ -447,13 +413,11 @@ func (w *wal) rotate() (oldSegments []string, err error) {
 			oldSegments = append(oldSegments, p)
 		}
 	}
-	w.seq++
-	f, err := os.OpenFile(segPath(w.dir, w.name, w.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	old := w.f
+	w.f, w.seq = f, w.seq+1
+	if err := old.Close(); err != nil {
 		return nil, err
 	}
-	w.f = f
-	w.size = 0
 	return oldSegments, nil
 }
 
@@ -475,124 +439,5 @@ func (w *wal) close() error {
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	// Only now may late coalescer windows skip their barrier: the sync above
-	// made every written frame durable before any such skip can acknowledge.
-	w.fileClosed = true
 	return err
-}
-
-// syncReq is one burst awaiting its fsync barrier: the log whose file needs
-// syncing and the appenders to answer once it is durable.
-type syncReq struct {
-	w     *wal
-	batch []*walAppend
-}
-
-// syncCoalescer folds the fsync barriers of many WAL stripes into shared
-// windows: per window it snapshots everything enqueued, syncs each distinct
-// file once, and only then answers that window's appenders — so write-ahead
-// acknowledgment order is untouched, but N stripes group-committing under
-// concurrent load cost one barrier each per window instead of one per burst,
-// and a stripe's writer goroutine never idles inside another stripe's sync.
-// Bursts enqueued while a window is syncing wait for the next window.
-type syncCoalescer struct {
-	mu      sync.Mutex
-	pending []syncReq
-
-	kick chan struct{}
-	quit chan struct{}
-	done chan struct{}
-
-	barriers int64 // file syncs performed (guarded by mu)
-	bursts   int64 // append bursts answered (guarded by mu)
-}
-
-func newSyncCoalescer() *syncCoalescer {
-	c := &syncCoalescer{
-		kick: make(chan struct{}, 1),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go c.loop()
-	return c
-}
-
-// enqueue hands one committed-but-unsynced burst to the coalescer. The batch
-// slice is the writer's reusable buffer, so the requests are copied out.
-func (c *syncCoalescer) enqueue(w *wal, batch []*walAppend) {
-	reqs := make([]*walAppend, len(batch))
-	copy(reqs, batch)
-	c.mu.Lock()
-	c.pending = append(c.pending, syncReq{w: w, batch: reqs})
-	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (c *syncCoalescer) loop() {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.kick:
-			c.flush()
-		case <-c.quit:
-			c.flush()
-			return
-		}
-	}
-}
-
-// flush drains windows until the queue is empty: snapshot the pending list,
-// one barrier per distinct file, answer the snapshot's appenders.
-func (c *syncCoalescer) flush() {
-	for {
-		c.mu.Lock()
-		window := c.pending
-		c.pending = nil
-		c.mu.Unlock()
-		if len(window) == 0 {
-			return
-		}
-		errs := make(map[*wal]error, 1)
-		for _, r := range window {
-			if _, ok := errs[r.w]; !ok {
-				errs[r.w] = r.w.syncFile()
-			}
-		}
-		for _, r := range window {
-			err := errs[r.w]
-			for _, req := range r.batch {
-				req.errc <- err
-			}
-		}
-		walSyncBursts.Add(int64(len(window)))
-		c.mu.Lock()
-		c.barriers += int64(len(errs))
-		c.bursts += int64(len(window))
-		c.mu.Unlock()
-	}
-}
-
-// stats reports (fsync barriers performed, append bursts answered) — the
-// coalescing ratio the durability bench and tests observe.
-func (c *syncCoalescer) stats() (barriers, bursts int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.barriers, c.bursts
-}
-
-// stop drains outstanding windows and terminates the loop. Callers close
-// every enrolled wal first, so no new bursts can arrive.
-func (c *syncCoalescer) stop() {
-	close(c.quit)
-	<-c.done
-}
-
-// sizeBytes reports the active segment's size.
-func (w *wal) sizeBytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
 }

@@ -94,7 +94,7 @@ func mustAppend(t *testing.T, w *wal, r *Record) {
 // group-commit writer read back in order from the segment file.
 func TestWALAppendReadBack(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, "s0", 1, false, nil)
+	w, err := openWAL(dir, "s0", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestWALAppendReadBack(t *testing.T) {
 // concurrent append lands exactly once (order across goroutines is free).
 func TestWALConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, "s0", 1, false, nil)
+	w, err := openWAL(dir, "s0", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWALConcurrentAppends(t *testing.T) {
 }
 
 func TestWALAppendAfterClose(t *testing.T) {
-	w, err := openWAL(t.TempDir(), "s0", 1, false, nil)
+	w, err := openWAL(t.TempDir(), "s0", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestWALAppendAfterClose(t *testing.T) {
 // both in order.
 func TestWALRotate(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, "meta", 1, false, nil)
+	w, err := openWAL(dir, "meta", 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //     an impossible state: histogram snapshots load the running sum
 //     BEFORE the bucket counts, so the derived count is always >= what
 //     the sum accounts for, and counters are single atomics (monotone by
-//     construction between resets).
+//     construction).
 //
 // Instrument names follow the Prometheus convention
 // (ares_<layer>_<what>_<unit>), with an optional brace-delimited label
@@ -31,9 +31,8 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing atomic counter. Reset exists only
-// so legacy Stats views (transport.ResetCodecStats) keep their contract;
-// scrapers should treat a decrease as a reset.
+// Counter is a monotonically increasing atomic counter. Readers that want
+// an interval take two snapshots and subtract (CounterDelta).
 type Counter struct {
 	v atomic.Int64
 }
@@ -46,9 +45,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset stores zero. Only legacy reset paths should call this.
-func (c *Counter) Reset() { c.v.Store(0) }
 
 // Gauge is an instantaneous value: either set/added directly, or backed
 // by a callback installed with SetFunc (polled at scrape time).
@@ -102,14 +98,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveSince records the elapsed nanoseconds since start.
 func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(int64(time.Since(start)))
-}
-
-// Reset zeroes all buckets and the sum. Only legacy reset paths use it.
-func (h *Histogram) Reset() {
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
 }
 
 // HistSnapshot is a point-in-time view of a histogram. Count is derived

@@ -3,8 +3,7 @@ package transport
 // Tests for the FrameBatch coalescing layer: batch framing round trips,
 // malformed-batch rejection, the writer path's envelope/byte caps and frame
 // limit, oversized envelopes failing alone, the saturated-send-queue Invoke
-// contract, and race-safety of the process-wide
-// codec counters (pinned under -race).
+// contract, and the batch counters in the obs registry.
 
 import (
 	"bytes"
@@ -112,40 +111,38 @@ func TestWireRejectsMalformedBatchFrames(t *testing.T) {
 }
 
 // TestWireBatchCountsIntoCodecStats pins the batch observability the bench
-// and CI assertions consume: one batched frame advances FramesBatched and the
-// right EnvelopesPerFrame bucket, and costs one wire frame, not N.
+// reads: one batched frame advances ares_wire_frames_batched_total and the
+// right envelopes-per-frame bucket, and costs one wire frame, not N.
 func TestWireBatchCountsIntoCodecStats(t *testing.T) {
 	// Not parallel: codec counters are process-wide.
 	envs := sampleEnvelopes()
-	before := CodecStats()
-	var buf bytes.Buffer
-	enc := newFrameEncoder(&buf)
-	if err := encodeBatch(enc, envs); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := newFrameDecoder(&buf)
-	for range envs {
-		var env tcpEnvelope
-		if err := dec.decodeRequest(&env); err != nil {
+	d := counterDeltas(func() {
+		var buf bytes.Buffer
+		enc := newFrameEncoder(&buf)
+		if err := encodeBatch(enc, envs); err != nil {
 			t.Fatal(err)
 		}
-	}
-	after := CodecStats()
-	if got := after.FramesBatched - before.FramesBatched; got != 1 {
-		t.Fatalf("FramesBatched delta = %d, want 1", got)
-	}
-	bucket := batchBucket(len(envs))
-	if got := after.EnvelopesPerFrame[bucket] - before.EnvelopesPerFrame[bucket]; got != 1 {
-		t.Fatalf("EnvelopesPerFrame[%s] delta = %d, want 1", BatchBucketLabels[bucket], got)
-	}
-	if got := after.WireEncodes - before.WireEncodes; got != 1 {
-		t.Fatalf("WireEncodes delta = %d, want 1 (the whole batch is one frame)", got)
-	}
-	if got := after.WireDecodes - before.WireDecodes; got != 1 {
-		t.Fatalf("WireDecodes delta = %d, want 1", got)
+		if err := enc.flush(); err != nil {
+			t.Fatal(err)
+		}
+		dec := newFrameDecoder(&buf)
+		for range envs {
+			var env tcpEnvelope
+			if err := dec.decodeRequest(&env); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	bucket := `ares_wire_envelopes_per_frame_total{envelopes="` + BatchBucketLabels[batchBucket(len(envs))] + `"}`
+	for name, want := range map[string]int64{
+		"ares_wire_frames_batched_total": 1,
+		bucket:                           1,
+		"ares_wire_encodes_total":        1, // the whole batch is one frame
+		"ares_wire_decodes_total":        1,
+	} {
+		if got := d[name]; got != want {
+			t.Fatalf("%s delta = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -464,50 +461,6 @@ func TestTCPInvokeSaturatedQueueHonorsContext(t *testing.T) {
 			t.Fatal("wedged invoke did not resolve after Close")
 		}
 	}
-}
-
-// TestCodecStatsSnapshotRace hammers the codec counters from encoder,
-// snapshot, and reset goroutines simultaneously. The -race CI job pins that
-// CodecStats readers never tear against concurrent writers.
-func TestCodecStatsSnapshotRace(t *testing.T) {
-	// Not parallel: ResetCodecStats would clobber other counter tests' deltas.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			enc := newFrameEncoder(io.Discard)
-			envs := sampleEnvelopes()
-			for i := 0; i < 300; i++ {
-				if err := encodeBatch(enc, envs); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := enc.flush(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	for r := 0; r < 3; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				u := CodecStats()
-				if u.WireEncodes < 0 || u.FramesBatched < 0 {
-					t.Errorf("snapshot went negative: %+v", u)
-					return
-				}
-				if r == 0 && i%100 == 99 {
-					ResetCodecStats()
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // BenchmarkTCPInvokeConcurrent measures raw concurrent Invoke throughput over

@@ -46,16 +46,16 @@ func TestBroadcastMarshalsSharedBodyOnce(t *testing.T) {
 	client := newRecordingClient(func(types.ProcessID, Request) (Response, error) {
 		return OKResponse(nil), nil
 	})
-	before := CodecStats()
-	_, err := Broadcast(context.Background(), client, broadcastDsts,
-		Phase[struct{}]{Service: "svc", Config: "c0", Type: "op", Body: echoBody{N: 7}},
-		AtLeast[struct{}](len(broadcastDsts)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := CodecStats()
-	if got := after.Encodes - before.Encodes; got != 1 {
+	d := counterDeltas(func() {
+		_, err := Broadcast(context.Background(), client, broadcastDsts,
+			Phase[struct{}]{Service: "svc", Config: "c0", Type: "op", Body: echoBody{N: 7}},
+			AtLeast[struct{}](len(broadcastDsts)),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := d["ares_codec_encodes_total"]; got != 1 {
 		t.Fatalf("Broadcast to %d servers performed %d body encodes, want exactly 1", len(broadcastDsts), got)
 	}
 
@@ -82,21 +82,21 @@ func TestBroadcastPerDestinationBodies(t *testing.T) {
 	client := newRecordingClient(func(types.ProcessID, Request) (Response, error) {
 		return OKResponse(nil), nil
 	})
-	before := CodecStats()
-	_, err := Broadcast(context.Background(), client, broadcastDsts,
-		Phase[struct{}]{
-			Service: "svc", Config: "c0", Type: "op",
-			BodyFor: func(dst types.ProcessID) (any, error) {
-				return echoBody{N: len(dst)}, nil
+	d := counterDeltas(func() {
+		_, err := Broadcast(context.Background(), client, broadcastDsts,
+			Phase[struct{}]{
+				Service: "svc", Config: "c0", Type: "op",
+				BodyFor: func(dst types.ProcessID) (any, error) {
+					return echoBody{N: len(dst)}, nil
+				},
 			},
-		},
-		AtLeast[struct{}](len(broadcastDsts)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := CodecStats()
-	if got := after.Encodes - before.Encodes; got != int64(len(broadcastDsts)) {
+			AtLeast[struct{}](len(broadcastDsts)),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := d["ares_codec_encodes_total"]; got != int64(len(broadcastDsts)) {
 		t.Fatalf("per-destination Broadcast performed %d encodes, want %d", got, len(broadcastDsts))
 	}
 }

@@ -30,35 +30,11 @@ const maxPooledBuffer = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// CodecUsage is a point-in-time snapshot of codec work since the last reset.
-type CodecUsage struct {
-	// Encodes and Decodes count Marshal/Unmarshal operations.
-	Encodes int64
-	Decodes int64
-	// EncodedBytes and DecodedBytes total the payload sizes processed.
-	EncodedBytes int64
-	DecodedBytes int64
-	// WireEncodes and WireDecodes count TCP frames written/read, and
-	// WireEncodedBytes/WireDecodedBytes the socket bytes they moved —
-	// whole envelopes including framing, not just bodies.
-	WireEncodes      int64
-	WireDecodes      int64
-	WireEncodedBytes int64
-	WireDecodedBytes int64
-	// FramesBatched counts encoded frames that coalesced more than one
-	// envelope (FrameBatch frames); EnvelopesPerFrame is a histogram of
-	// envelope count per encoded data frame, bucketed per
-	// BatchBucketLabels. Together they show how often the writer path
-	// found cross-key traffic to pack.
-	FramesBatched     int64
-	EnvelopesPerFrame [batchBucketCount]int64
-}
-
-// batchBucketCount is the number of EnvelopesPerFrame histogram buckets.
+// batchBucketCount is the number of envelopes-per-frame buckets.
 const batchBucketCount = 6
 
-// BatchBucketLabels names the EnvelopesPerFrame buckets, index-aligned with
-// CodecUsage.EnvelopesPerFrame.
+// BatchBucketLabels names the envelopes-per-frame buckets: the envelopes
+// label of ares_wire_envelopes_per_frame_total.
 var BatchBucketLabels = [batchBucketCount]string{"1", "2", "3-4", "5-8", "9-16", "17+"}
 
 func batchBucket(n int) int {
@@ -87,10 +63,9 @@ func recordFrameEnvelopes(n int) {
 	}
 }
 
-// codecCounters holds the transport's named instruments. The fields are
-// obs registry handles (resolved once at init), so every hot-path bump
-// is the same single atomic add the old hand-rolled struct did; the
-// CodecUsage type below is now a thin view over the registry.
+// codecCounters holds the transport's named instruments: obs registry
+// handles resolved once at init, so every hot-path bump is one atomic add.
+// Readers go through the registry (obs.Default.Snapshot, /metrics).
 type codecCounters struct {
 	encodes      *obs.Counter
 	decodes      *obs.Counter
@@ -126,43 +101,6 @@ var codecStats = func() codecCounters {
 	}
 	return c
 }()
-
-// CodecStats reports codec work performed process-wide since the last
-// ResetCodecStats. The Broadcast marshal-once tests and the bench harness
-// read it to verify that one quorum phase costs one body encode.
-func CodecStats() CodecUsage {
-	u := CodecUsage{
-		Encodes:          codecStats.encodes.Load(),
-		Decodes:          codecStats.decodes.Load(),
-		EncodedBytes:     codecStats.encodedBytes.Load(),
-		DecodedBytes:     codecStats.decodedBytes.Load(),
-		WireEncodes:      codecStats.wireEncodes.Load(),
-		WireDecodes:      codecStats.wireDecodes.Load(),
-		WireEncodedBytes: codecStats.wireEncodedBytes.Load(),
-		WireDecodedBytes: codecStats.wireDecodedBytes.Load(),
-		FramesBatched:    codecStats.framesBatched.Load(),
-	}
-	for i := range codecStats.envelopesPerFrame {
-		u.EnvelopesPerFrame[i] = codecStats.envelopesPerFrame[i].Load()
-	}
-	return u
-}
-
-// ResetCodecStats zeroes the codec counters.
-func ResetCodecStats() {
-	codecStats.encodes.Reset()
-	codecStats.decodes.Reset()
-	codecStats.encodedBytes.Reset()
-	codecStats.decodedBytes.Reset()
-	codecStats.wireEncodes.Reset()
-	codecStats.wireDecodes.Reset()
-	codecStats.wireEncodedBytes.Reset()
-	codecStats.wireDecodedBytes.Reset()
-	codecStats.framesBatched.Reset()
-	for i := range codecStats.envelopesPerFrame {
-		codecStats.envelopesPerFrame[i].Reset()
-	}
-}
 
 // Marshal gob-encodes a message body for use as a Request or Response
 // payload. Bodies are concrete structs owned by each protocol package.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -37,17 +36,6 @@ func WithDelayRange(min, max time.Duration) SimnetOption {
 // WithSeed seeds the delay sampler for reproducible executions.
 func WithSeed(seed int64) SimnetOption {
 	return func(n *Simnet) { n.rng = rand.New(rand.NewSource(seed)) }
-}
-
-// WithSimBatching mirrors the TCP cross-key envelope coalescing seam in
-// simulated delivery: concurrent requests bound for one destination are
-// queued per destination, packed through the real binary FrameBatch
-// codec (so simulated runs exercise identical pack/unpack semantics and
-// the same CodecStats batch counters), then dispatched individually to the
-// handler. The chaos matrix uses it to prove coalescing preserves per-key
-// linearizability under faults.
-func WithSimBatching() SimnetOption {
-	return func(n *Simnet) { n.batching = true }
 }
 
 // LinkFaults describes adversarial behaviour injected on a directed link,
@@ -100,13 +88,6 @@ type Simnet struct {
 
 	counters *Counters
 
-	// batching enables the per-destination coalescing seam (see
-	// WithSimBatching); batchers holds one lazily created queue per
-	// destination.
-	batching bool
-	batchMu  sync.Mutex
-	batchers map[types.ProcessID]*simBatcher
-
 	// inflight tracks background deliveries of messages whose sender gave
 	// up waiting (reliable channels still deliver them). Quiesce waits.
 	inflight sync.WaitGroup
@@ -147,7 +128,6 @@ func NewSimnet(opts ...SimnetOption) *Simnet {
 		linkFaults:   make(map[linkKey]LinkFaults),
 		rng:          rand.New(rand.NewSource(1)),
 		counters:     NewCounters(),
-		batchers:     make(map[types.ProcessID]*simBatcher),
 		pumpWake:     make(chan struct{}, 1),
 		pumpStop:     make(chan struct{}),
 	}
@@ -476,142 +456,6 @@ func (n *Simnet) blocked(from, to types.ProcessID) bool {
 	return n.crashed[from] || n.linkBlocked[linkKey{from, to}]
 }
 
-// simBatcher is one destination's coalescing queue. The first arrival whose
-// enqueue finds the batcher idle becomes responsible for starting the
-// drainer; everyone waits on their per-delivery channel.
-type simBatcher struct {
-	mu     sync.Mutex
-	queue  []simDelivery
-	active bool
-}
-
-type simDelivery struct {
-	env  tcpEnvelope
-	resp chan simResult
-}
-
-// simResult mirrors lookup's (Handler, bool): ok is false when the
-// destination is crashed or unknown, in which case the caller hangs on its
-// context exactly as the unbatched path does.
-type simResult struct {
-	resp Response
-	ok   bool
-}
-
-func (n *Simnet) batcherFor(dst types.ProcessID) *simBatcher {
-	n.batchMu.Lock()
-	defer n.batchMu.Unlock()
-	b, ok := n.batchers[dst]
-	if !ok {
-		b = &simBatcher{}
-		n.batchers[dst] = b
-	}
-	return b
-}
-
-// deliver hands a request that survived the send-side delay and fault legs
-// to the destination's handler. Without batching it is a direct call on the
-// caller's goroutine; with batching the request joins the destination's
-// coalescing queue. (Background and duplicate deliveries always use the
-// direct path: their senders are gone, so there is nothing to coalesce
-// against and no response to route.)
-func (n *Simnet) deliver(from, dst types.ProcessID, req Request) (Response, bool) {
-	if !n.batching {
-		h, ok := n.lookup(dst)
-		if !ok {
-			return Response{}, false
-		}
-		return h.HandleRequest(from, req), true
-	}
-	b := n.batcherFor(dst)
-	d := simDelivery{env: tcpEnvelope{From: from, Req: req}, resp: make(chan simResult, 1)}
-	b.mu.Lock()
-	b.queue = append(b.queue, d)
-	drain := !b.active
-	if drain {
-		b.active = true
-	}
-	b.mu.Unlock()
-	if drain {
-		go n.drainBatcher(dst, b)
-	}
-	r := <-d.resp
-	return r.resp, r.ok
-}
-
-// drainBatcher repeatedly claims the whole queue — everything concurrent
-// callers managed to enqueue, across all keys — and dispatches it in chunks
-// bounded by the TCP writer's batch caps, until the queue stays empty.
-func (n *Simnet) drainBatcher(dst types.ProcessID, b *simBatcher) {
-	for {
-		b.mu.Lock()
-		queue := b.queue
-		b.queue = nil
-		if len(queue) == 0 {
-			b.active = false
-			b.mu.Unlock()
-			return
-		}
-		b.mu.Unlock()
-		for len(queue) > 0 {
-			chunk := queue
-			size := 0
-			for i := range chunk {
-				if i >= defaultBatchEnvelopes || (i > 0 && size >= defaultBatchBytes) {
-					chunk = queue[:i]
-					break
-				}
-				size += wireSize(chunk[i].env)
-			}
-			queue = queue[len(chunk):]
-			n.dispatchChunk(dst, chunk)
-		}
-	}
-}
-
-// dispatchChunk runs one chunk through the real binary batch codec — the
-// exact pack/unpack the TCP data plane performs, counted in the same
-// CodecStats — then invokes the handler once per decoded envelope,
-// concurrently, mirroring the TCP server's handler pool.
-func (n *Simnet) dispatchChunk(dst types.ProcessID, chunk []simDelivery) {
-	envs := make([]tcpEnvelope, len(chunk))
-	for i, d := range chunk {
-		env := d.env
-		env.ID = uint64(i)
-		envs[i] = env
-	}
-	var buf bytes.Buffer
-	enc := newFrameEncoder(&buf)
-	decoded := make([]tcpEnvelope, len(envs))
-	ok := encodeBatch(enc, envs) == nil && enc.flush() == nil
-	if ok {
-		dec := newFrameDecoder(&buf)
-		for i := range decoded {
-			if dec.decodeRequest(&decoded[i]) != nil {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		// A pack/unpack failure here is a codec bug, not a simulated fault;
-		// deliver the originals so the simulation fails loudly in the
-		// protocol layer instead of wedging every caller.
-		copy(decoded, envs)
-	}
-	for i := range chunk {
-		go func(i int) {
-			h, hok := n.lookup(dst)
-			if !hok {
-				chunk[i].resp <- simResult{}
-				return
-			}
-			env := decoded[i]
-			chunk[i].resp <- simResult{resp: h.HandleRequest(env.From, env.Req), ok: true}
-		}(i)
-	}
-}
-
 type simClient struct {
 	net  *Simnet
 	self types.ProcessID
@@ -675,12 +519,13 @@ func (c *simClient) Invoke(ctx context.Context, dst types.ProcessID, req Request
 		}()
 		return Response{}, err
 	}
-	resp, ok := net.deliver(c.self, dst, req)
+	h, ok := net.lookup(dst)
 	if !ok {
 		// Crashed or unknown destination: the message is lost in the void.
 		<-ctx.Done()
 		return Response{}, fmt.Errorf("%w: %s", ErrUnreachable, dst)
 	}
+	resp := h.HandleRequest(c.self, req)
 	if net.blocked(dst, c.self) {
 		<-ctx.Done()
 		return Response{}, fmt.Errorf("%w: %s (response blocked)", ErrUnreachable, dst)

@@ -56,8 +56,10 @@ type tcpReply struct {
 var ErrClosed = errors.New("transport: tcp client closed")
 
 // Defaults for the data-plane knobs; see the TCPOption constructors.
+// dialTimeout bounds connection establishment when the caller's context has
+// no earlier deadline, so a black-holed address never hangs an Invoke.
 const (
-	defaultDialTimeout    = 5 * time.Second
+	dialTimeout           = 5 * time.Second
 	defaultMaxHandlers    = 128
 	defaultSendQueue      = 256
 	defaultBatchEnvelopes = 64
@@ -133,7 +135,6 @@ func (b DialBackoff) window(fails int, rng *rand.Rand) time.Duration {
 
 // tcpOptions collects the tunables shared by TCPClient and TCPServer.
 type tcpOptions struct {
-	dialTimeout    time.Duration
 	maxHandlers    int
 	sendQueue      int
 	batchEnvelopes int
@@ -144,7 +145,6 @@ type tcpOptions struct {
 
 func defaultTCPOptions() tcpOptions {
 	return tcpOptions{
-		dialTimeout:    defaultDialTimeout,
 		maxHandlers:    defaultMaxHandlers,
 		sendQueue:      defaultSendQueue,
 		batchEnvelopes: defaultBatchEnvelopes,
@@ -155,17 +155,6 @@ func defaultTCPOptions() tcpOptions {
 
 // TCPOption tunes a TCPClient or TCPServer.
 type TCPOption func(*tcpOptions)
-
-// WithDialTimeout bounds connection establishment when the caller's context
-// has no earlier deadline (default 5s). A black-holed address must never
-// hang an Invoke forever.
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOptions) {
-		if d > 0 {
-			o.dialTimeout = d
-		}
-	}
-}
 
 // WithMaxHandlers bounds concurrent request handlers per server connection
 // (default 128). Reads from a connection pause while its handler budget is
@@ -558,7 +547,7 @@ func (c *TCPClient) conn(ctx context.Context, addr string) (*tcpConn, error) {
 
 	dial := c.opts.dial
 	if dial == nil {
-		d := net.Dialer{Timeout: c.opts.dialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		dial = func(ctx context.Context, addr string) (net.Conn, error) {
 			return d.DialContext(ctx, "tcp", addr)
 		}

@@ -18,8 +18,8 @@ import (
 // no field names, no per-stream state. A frame costs its fields plus one
 // varint per field plus 5 bytes of framing.
 //
-// Frames are counted into the process-wide CodecStats
-// (WireEncodes/WireEncodedBytes/...), which is how benchmarks attribute
+// Frames are counted into the obs registry (ares_wire_encodes_total,
+// ares_wire_encoded_bytes_total, ...), which is how benchmarks attribute
 // bytes-per-operation to the codec. Body payloads inside the envelope remain
 // the product of transport.Marshal, so the Broadcast marshal-once invariants
 // (one body encode per quorum phase) are unaffected by the framing.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/ares-storage/ares/internal/obs"
 )
 
 // sampleEnvelopes is a representative mix of quorum-phase traffic: small
@@ -92,33 +94,43 @@ func TestWireSizeIsExact(t *testing.T) {
 	}
 }
 
+// counterDeltas runs fn and returns how far it moved each registry counter,
+// by name. Callers must not run in parallel: the counters are process-wide.
+func counterDeltas(fn func()) map[string]int64 {
+	before := obs.Default.Snapshot()
+	fn()
+	return obs.CounterDelta(before, obs.Default.Snapshot())
+}
+
 // TestWireCountsIntoCodecStats pins that frame traffic lands in the wire
-// counters (bench suites divide these by ops for bytes/op).
+// counters (the bench divides these by ops for bytes/op).
 func TestWireCountsIntoCodecStats(t *testing.T) {
 	// Not parallel: codec counters are process-wide.
-	before := CodecStats()
-	var buf bytes.Buffer
-	encodeFrames(t, newFrameEncoder(&buf), sampleEnvelopes())
-	wrote := buf.Len()
-	dec := newFrameDecoder(&buf)
-	for range sampleEnvelopes() {
-		var env tcpEnvelope
-		if err := dec.decodeRequest(&env); err != nil {
-			t.Fatal(err)
+	var wrote int
+	d := counterDeltas(func() {
+		var buf bytes.Buffer
+		encodeFrames(t, newFrameEncoder(&buf), sampleEnvelopes())
+		wrote = buf.Len()
+		dec := newFrameDecoder(&buf)
+		for range sampleEnvelopes() {
+			var env tcpEnvelope
+			if err := dec.decodeRequest(&env); err != nil {
+				t.Fatal(err)
+			}
 		}
+	})
+	n := int64(len(sampleEnvelopes()))
+	if got := d["ares_wire_encodes_total"]; got != n {
+		t.Fatalf("ares_wire_encodes_total delta = %d, want %d", got, n)
 	}
-	after := CodecStats()
-	if got := after.WireEncodes - before.WireEncodes; got != int64(len(sampleEnvelopes())) {
-		t.Fatalf("WireEncodes delta = %d, want %d", got, len(sampleEnvelopes()))
+	if got := d["ares_wire_encoded_bytes_total"]; got != int64(wrote) {
+		t.Fatalf("ares_wire_encoded_bytes_total delta = %d, want %d", got, wrote)
 	}
-	if got := after.WireEncodedBytes - before.WireEncodedBytes; got != int64(wrote) {
-		t.Fatalf("WireEncodedBytes delta = %d, want %d", got, wrote)
+	if got := d["ares_wire_decodes_total"]; got != n {
+		t.Fatalf("ares_wire_decodes_total delta = %d, want %d", got, n)
 	}
-	if got := after.WireDecodes - before.WireDecodes; got != int64(len(sampleEnvelopes())) {
-		t.Fatalf("WireDecodes delta = %d, want %d", got, len(sampleEnvelopes()))
-	}
-	if after.WireDecodedBytes-before.WireDecodedBytes <= 0 {
-		t.Fatal("WireDecodedBytes did not advance")
+	if d["ares_wire_decoded_bytes_total"] <= 0 {
+		t.Fatal("ares_wire_decoded_bytes_total did not advance")
 	}
 }
 

@@ -51,13 +51,6 @@ type Durability struct {
 	// throughput: acknowledged writes survive a process kill but not a
 	// machine crash.
 	Fsync bool
-	// NoFsyncCoalesce disables cross-stripe fsync batching (on by default
-	// whenever Fsync is): with coalescing, stripe group commits hand their
-	// barriers to a shared coalescer that syncs each log file once per
-	// window, so concurrent stripes share fsync cost instead of each paying
-	// one barrier per burst. Acknowledgments still strictly follow the sync;
-	// disabling only restores the inline sync-per-burst baseline.
-	NoFsyncCoalesce bool
 }
 
 // RecoveryStats describes what a server start replayed from its data
@@ -85,8 +78,7 @@ func NewServerWithDurability(id ProcessID, addr string, book AddressBook, dur Du
 	var stats RecoveryStats
 	if dur.Dir != "" {
 		var err error
-		stats, err = host.EnableDurability(dur.Dir,
-			keystate.WithFsync(dur.Fsync), keystate.WithFsyncCoalescing(!dur.NoFsyncCoalesce))
+		stats, err = host.EnableDurability(dur.Dir, keystate.WithFsync(dur.Fsync))
 		if err != nil {
 			out.Close()
 			return nil, stats, fmt.Errorf("ares: starting server %s: %w", id, err)
