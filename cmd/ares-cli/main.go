@@ -13,13 +13,20 @@
 //	ares-cli -id g1 -peers ... -root ... -direct \
 //	  reconfig "id=c1;alg=treas;servers=s4,s5,s6;k=2;delta=4"
 //
-// Against a server started with -ops-addr, the ops verbs talk to the admin
+// Against a per-key deployment (servers bootstrapped with a template such
+// as "id=kt/{key}/c0;alg=abd;servers=s1,s2,s3"), -key K addresses one key's
+// register: -root and reconfig's target are both bound to K, the way
+// ObjectStore.ReconfigureKey binds them.
+//
+//	ares-cli -id g1 -peers ... -root "id=kt/{key}/c0;..." -key k1 \
+//	  reconfig "id=kt/{key}/c1;alg=abd;servers=s4,s5,s6"
+//
+// Against a server started with -ops-addr, the ops verbs read the admin
 // HTTP API instead of the data plane (no -peers/-root needed):
 //
 //	ares-cli -ops 127.0.0.1:9090 metrics
 //	ares-cli -ops 127.0.0.1:9090 chain k1
 //	ares-cli -ops 127.0.0.1:9090 keystate k1
-//	ares-cli -ops 127.0.0.1:9090 reconfigure k1 "id=c1-k1;alg=abd;servers=s1,s2,s3"
 package main
 
 import (
@@ -52,14 +59,15 @@ func run() error {
 		peers   = flag.String("peers", "", "address book: id=addr,... (required)")
 		root    = flag.String("root", "", "bootstrap configuration spec (required)")
 		direct  = flag.Bool("direct", false, "use §5 direct state transfer for reconfig")
+		key     = flag.String("key", "", "object key: bind -root and reconfig's target to it (for template deployments)")
 		timeout = flag.Duration("timeout", 30*time.Second, "operation timeout")
-		opsAddr = flag.String("ops", "", "ops HTTP address of a server started with -ops-addr (for metrics|chain|keystate|reconfigure)")
+		opsAddr = flag.String("ops", "", "ops HTTP address of a server started with -ops-addr (for metrics|chain|keystate)")
 	)
 	flag.Parse()
 
 	// The ops verbs go over the admin HTTP API and need only -ops.
 	switch flag.Arg(0) {
-	case "metrics", "chain", "keystate", "reconfigure":
+	case "metrics", "chain", "keystate":
 		if *opsAddr == "" {
 			return fmt.Errorf("%s requires -ops (the server's -ops-addr address)", flag.Arg(0))
 		}
@@ -78,6 +86,9 @@ func run() error {
 	c0, err := spec.Parse(*root)
 	if err != nil {
 		return err
+	}
+	if *key != "" {
+		c0 = c0.ForKey(*key)
 	}
 	rpc := ares.NewTCPClient(ares.ProcessID(*id), book)
 	defer rpc.Close()
@@ -116,6 +127,9 @@ func run() error {
 		next, err := spec.Parse(flag.Arg(1))
 		if err != nil {
 			return err
+		}
+		if *key != "" {
+			next = next.ForKey(*key)
 		}
 		g, err := ares.NewRemoteReconfigurer(ares.ProcessID(*id), c0, rpc, ares.ReconOptions{DirectTransfer: *direct})
 		if err != nil {
@@ -171,21 +185,6 @@ func runOps(addr string, timeout time.Duration, args []string) error {
 			return fmt.Errorf("%s requires a key argument", verb)
 		}
 		body, _, err := get("/admin/"+verb, url.Values{"key": {args[1]}})
-		if err != nil {
-			return err
-		}
-		return printAdminResult(body)
-	case "reconfigure":
-		if len(args) < 3 {
-			return fmt.Errorf("reconfigure requires key and spec arguments")
-		}
-		resp, err := client.PostForm(base+"/admin/reconfigure",
-			url.Values{"key": {args[1]}, "spec": {args[2]}})
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return err
 		}

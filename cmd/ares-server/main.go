@@ -40,7 +40,7 @@ func run() error {
 		bootstrap = flag.String("bootstrap", "", "initial configuration spec (optional; see package doc)")
 		dataDir   = flag.String("data-dir", "", "data directory for WAL + snapshots (empty = in-memory server, no crash recovery)")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every group commit (only meaningful with -data-dir)")
-		opsAddr   = flag.String("ops-addr", "", "ops HTTP listen address: /metrics, /metrics.json, pprof, /healthz, and the /admin API (empty = disabled)")
+		opsAddr   = flag.String("ops-addr", "", "ops HTTP listen address: /metrics, /metrics.json, pprof, /healthz, and the read-only /admin API (info, chain, keystate; empty = disabled)")
 	)
 	flag.Parse()
 	if *id == "" || *peers == "" {

@@ -14,7 +14,9 @@ import (
 // TestCmdBinariesEndToEnd builds ares-server and ares-cli and exercises a
 // real multi-process deployment over TCP loopback: three server processes,
 // a write, a read, a reconfiguration onto three more processes, and a final
-// read through the new configuration.
+// read through the new configuration. A keyed leg drives one key of a
+// template deployment on the other three processes through ares-cli -key,
+// and reads its chain back through the ops surface.
 func TestCmdBinariesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs subprocesses")
@@ -46,6 +48,8 @@ func TestCmdBinariesEndToEnd(t *testing.T) {
 	book := strings.Join(bookParts, ",")
 	rootSpec := "id=c0;alg=treas;servers=s1,s2,s3;k=2;delta=4"
 	nextSpec := "id=c1;alg=treas;servers=s4,s5,s6;k=2;delta=4"
+	keyedRoot := "id=kt/{key}/c0;alg=abd;servers=s4,s5,s6"
+	keyedNext := "id=kt/{key}/c1;alg=abd;servers=s4,s5,s6"
 
 	var servers []*exec.Cmd
 	defer func() {
@@ -57,13 +61,20 @@ func TestCmdBinariesEndToEnd(t *testing.T) {
 		}
 	}()
 	opsAddr := fmt.Sprintf("127.0.0.1:%d", base+100)
+	keyedOpsAddr := fmt.Sprintf("127.0.0.1:%d", base+101)
 	for _, id := range ids {
 		args := []string{"-id", id, "-listen", addr[id], "-peers", book}
-		if id == "s1" || id == "s2" || id == "s3" {
+		switch id {
+		case "s1", "s2", "s3":
 			args = append(args, "-bootstrap", rootSpec)
+		default:
+			args = append(args, "-bootstrap", keyedRoot)
 		}
-		if id == "s1" {
+		switch id {
+		case "s1":
 			args = append(args, "-ops-addr", opsAddr)
+		case "s4":
+			args = append(args, "-ops-addr", keyedOpsAddr)
 		}
 		cmd := exec.Command(serverBin, args...)
 		if err := cmd.Start(); err != nil {
@@ -103,6 +114,24 @@ func TestCmdBinariesEndToEnd(t *testing.T) {
 	out := cli("m1", "-ops", opsAddr, "metrics")
 	if !strings.Contains(out, "ares_wire_encodes_total") || strings.Contains(out, "ares_wire_encodes_total 0\n") {
 		t.Fatalf("ops metrics scrape missing live wire counters:\n%s", out)
+	}
+
+	// Keyed leg: -key binds -root and reconfig's target to key k1 (the
+	// later -root overrides the one cli passes first).
+	keyed := func(clientID string, extra ...string) string {
+		return cli(clientID, append([]string{"-root", keyedRoot, "-key", "k1"}, extra...)...)
+	}
+	if out := keyed("kw1", "write", "keyed value"); !strings.Contains(out, "ok tag=") {
+		t.Fatalf("keyed write output: %s", out)
+	}
+	if out := keyed("kg1", "reconfig", keyedNext); !strings.Contains(out, "ok installed=kt/k1/c1") {
+		t.Fatalf("keyed reconfig output: %s", out)
+	}
+	if out := keyed("kr1", "read"); !strings.Contains(out, `value="keyed value"`) {
+		t.Fatalf("keyed read after reconfig: %s", out)
+	}
+	if out := cli("km1", "-ops", keyedOpsAddr, "chain", "k1"); !strings.Contains(out, "kt/k1/c0") || !strings.Contains(out, "kt/k1/c1") {
+		t.Fatalf("ops chain for k1 lacks the successor:\n%s", out)
 	}
 }
 

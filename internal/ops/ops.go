@@ -1,16 +1,13 @@
 // Package ops is the server's operational HTTP surface: Prometheus
 // /metrics over the obs registry, net/http/pprof, a nuclio-style
 // readiness probe (/healthz answers 503 until WAL recovery completes and
-// the data plane is listening), and a small JSON admin API exposing the
-// configuration chain, per-key state, and manual reconfigure/retire/
-// forget verbs.
+// the data plane is listening), and a small read-only JSON admin API
+// exposing the configuration chain and per-key state.
 //
 // The package is hook-based — it knows nothing about hosts or stores.
 // The ares root package binds the hooks to a live Server; tests bind
-// them to stubs. Every admin verb the hooks implement routes through the
-// ordinary client paths (read-config, Paxos reconfiguration, lifecycle
-// GC), so the admin API can never put a server into a state normal
-// operation couldn't.
+// them to stubs. No admin verb changes server state: reconfiguration is a
+// client protocol, run by reconfigurers over the data plane.
 package ops
 
 import (
@@ -24,10 +21,10 @@ import (
 	"github.com/ares-storage/ares/internal/obs"
 )
 
-// AdminHooks implement the admin verbs. A nil hook disables its route
-// (404). Hooks return a JSON-marshalable result; errors render as
-// {"ok":false,"error":...} with status 500 (or 400 for bad input,
-// signaled by BadRequestError).
+// AdminHooks implement the admin verbs. A nil hook answers 400 ("verb
+// not available on this server"). Hooks return a JSON-marshalable result;
+// errors render as {"ok":false,"error":...} with status 500 (or 400 for
+// bad input, signaled by BadRequestError).
 type AdminHooks struct {
 	// Chain reports key's configuration chain (a read-config through the
 	// ordinary recon path).
@@ -35,14 +32,6 @@ type AdminHooks struct {
 	// KeyState reports the server-local view of key: materialized
 	// (key, config) state per family and retirement info.
 	KeyState func(key string) (any, error)
-	// Reconfigure proposes spec (a spec.Parse configuration string) as
-	// key's next configuration through the ordinary Paxos path.
-	Reconfigure func(ctx context.Context, key, spec string) (any, error)
-	// Retire re-proposes key's current configuration parameters under a
-	// fresh ID, so the predecessor retires through ordinary finalization GC.
-	Retire func(ctx context.Context, key string) (any, error)
-	// Forget drops cached per-key client state (mirrors ObjectStore.Forget).
-	Forget func(key string) (any, error)
 }
 
 // BadRequestError marks a hook failure as the caller's fault (HTTP 400).
@@ -61,10 +50,10 @@ type Server struct {
 	// Info, when set, contributes identity fields to GET /admin/info.
 	Info  func() map[string]any
 	Admin AdminHooks
-
-	// AdminTimeout bounds one admin verb's context (default 30s).
-	AdminTimeout time.Duration
 }
+
+// adminTimeout bounds one admin verb's context.
+const adminTimeout = 30 * time.Second
 
 // Handler builds the ops mux. Routes:
 //
@@ -75,9 +64,6 @@ type Server struct {
 //	GET  /admin/info         identity + readiness
 //	GET  /admin/chain?key=K
 //	GET  /admin/keystate?key=K
-//	POST /admin/reconfigure?key=K&spec=S
-//	POST /admin/retire?key=K
-//	POST /admin/forget?key=K
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -111,48 +97,30 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "result": info})
 	})
-	s.adminVerb(mux, "/admin/chain", http.MethodGet, func(ctx context.Context, r *http.Request) (any, error) {
+	s.adminVerb(mux, "/admin/chain", func(ctx context.Context, r *http.Request) (any, error) {
 		if s.Admin.Chain == nil {
 			return nil, errNotConfigured
 		}
 		return s.Admin.Chain(ctx, r.FormValue("key"))
 	})
-	s.adminVerb(mux, "/admin/keystate", http.MethodGet, func(_ context.Context, r *http.Request) (any, error) {
+	s.adminVerb(mux, "/admin/keystate", func(_ context.Context, r *http.Request) (any, error) {
 		if s.Admin.KeyState == nil {
 			return nil, errNotConfigured
 		}
 		return s.Admin.KeyState(r.FormValue("key"))
-	})
-	s.adminVerb(mux, "/admin/reconfigure", http.MethodPost, func(ctx context.Context, r *http.Request) (any, error) {
-		if s.Admin.Reconfigure == nil {
-			return nil, errNotConfigured
-		}
-		return s.Admin.Reconfigure(ctx, r.FormValue("key"), r.FormValue("spec"))
-	})
-	s.adminVerb(mux, "/admin/retire", http.MethodPost, func(ctx context.Context, r *http.Request) (any, error) {
-		if s.Admin.Retire == nil {
-			return nil, errNotConfigured
-		}
-		return s.Admin.Retire(ctx, r.FormValue("key"))
-	})
-	s.adminVerb(mux, "/admin/forget", http.MethodPost, func(_ context.Context, r *http.Request) (any, error) {
-		if s.Admin.Forget == nil {
-			return nil, errNotConfigured
-		}
-		return s.Admin.Forget(r.FormValue("key"))
 	})
 	return mux
 }
 
 var errNotConfigured = BadRequestError{Msg: "verb not available on this server"}
 
-// adminVerb wires one hook route with method checking, key validation,
-// timeout, and uniform JSON rendering.
-func (s *Server) adminVerb(mux *http.ServeMux, path, method string, fn func(ctx context.Context, r *http.Request) (any, error)) {
+// adminVerb wires one read-only hook route with method checking (GET only),
+// key validation, timeout, and uniform JSON rendering.
+func (s *Server) adminVerb(mux *http.ServeMux, path string, fn func(ctx context.Context, r *http.Request) (any, error)) {
 	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
+		if r.Method != http.MethodGet {
 			writeJSON(w, http.StatusMethodNotAllowed,
-				map[string]any{"ok": false, "error": "use " + method})
+				map[string]any{"ok": false, "error": "use GET"})
 			return
 		}
 		if r.FormValue("key") == "" {
@@ -160,11 +128,7 @@ func (s *Server) adminVerb(mux *http.ServeMux, path, method string, fn func(ctx 
 				map[string]any{"ok": false, "error": "missing ?key="})
 			return
 		}
-		timeout := s.AdminTimeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), adminTimeout)
 		defer cancel()
 		result, err := fn(ctx, r)
 		if err != nil {

@@ -116,9 +116,11 @@ func TestAdminVerbs(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
 	s := testServer(&ready)
-	var gotKey, gotSpec string
 	s.Admin = AdminHooks{
 		Chain: func(_ context.Context, key string) (any, error) {
+			if key == "down" {
+				return nil, errors.New("quorum unavailable")
+			}
 			return map[string]any{"key": key, "chain": []string{"c0", "c1"}}, nil
 		},
 		KeyState: func(key string) (any, error) {
@@ -126,19 +128,6 @@ func TestAdminVerbs(t *testing.T) {
 				return nil, BadRequestError{Msg: "unknown key"}
 			}
 			return map[string]any{"key": key}, nil
-		},
-		Reconfigure: func(_ context.Context, key, spec string) (any, error) {
-			gotKey, gotSpec = key, spec
-			if spec == "" {
-				return nil, BadRequestError{Msg: "missing spec"}
-			}
-			return map[string]any{"applied": true}, nil
-		},
-		Retire: func(_ context.Context, key string) (any, error) {
-			return nil, errors.New("quorum unavailable")
-		},
-		Forget: func(key string) (any, error) {
-			return map[string]any{"dropped": true}, nil
 		},
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -156,15 +145,9 @@ func TestAdminVerbs(t *testing.T) {
 	}
 
 	// Wrong method is rejected.
-	status, vr = doVerb(t, http.MethodGet, ts.URL+"/admin/reconfigure", url.Values{"key": {"k"}})
+	status, vr = doVerb(t, http.MethodPost, ts.URL+"/admin/chain", url.Values{"key": {"k"}})
 	if status != http.StatusMethodNotAllowed || vr.OK {
-		t.Fatalf("GET reconfigure: status=%d resp=%+v", status, vr)
-	}
-
-	status, vr = doVerb(t, http.MethodPost, ts.URL+"/admin/reconfigure",
-		url.Values{"key": {"k2"}, "spec": {"id=c9;alg=abd;servers=s1,s2,s3"}})
-	if status != 200 || !vr.OK || gotKey != "k2" || !strings.Contains(gotSpec, "alg=abd") {
-		t.Fatalf("reconfigure: status=%d resp=%+v key=%q spec=%q", status, vr, gotKey, gotSpec)
+		t.Fatalf("POST chain: status=%d resp=%+v", status, vr)
 	}
 
 	// Hook BadRequestError maps to 400, other errors to 500.
@@ -172,14 +155,21 @@ func TestAdminVerbs(t *testing.T) {
 	if status != 400 || vr.Error != "unknown key" {
 		t.Fatalf("keystate missing: status=%d resp=%+v", status, vr)
 	}
-	status, vr = doVerb(t, http.MethodPost, ts.URL+"/admin/retire", url.Values{"key": {"k"}})
+	status, vr = doVerb(t, http.MethodGet, ts.URL+"/admin/chain", url.Values{"key": {"down"}})
 	if status != 500 || vr.Error != "quorum unavailable" {
-		t.Fatalf("retire: status=%d resp=%+v", status, vr)
+		t.Fatalf("chain down: status=%d resp=%+v", status, vr)
 	}
 
-	status, vr = doVerb(t, http.MethodPost, ts.URL+"/admin/forget", url.Values{"key": {"k"}})
-	if status != 200 || !vr.OK {
-		t.Fatalf("forget: status=%d resp=%+v", status, vr)
+	// The surface has no write verbs: reconfiguration is a client protocol.
+	for _, path := range []string{"/admin/reconfigure", "/admin/retire", "/admin/forget"} {
+		resp, err := http.PostForm(ts.URL+path, url.Values{"key": {"k"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status=%d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	// A verb without a hook is a 400 naming the problem.

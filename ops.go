@@ -2,8 +2,6 @@ package ares
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/ares-storage/ares/internal/cfg"
@@ -15,37 +13,13 @@ import (
 )
 
 // This file binds the hook-based internal/ops HTTP surface to a live Server.
-// Every admin verb routes through the ordinary client paths — chain is a
-// read-config, reconfigure and retire are Paxos reconfigurations through
-// recon.Client, keystate is the host's own introspection — so the admin API
-// can never put a server into a state normal operation couldn't.
+// The admin verbs only read: chain is an ordinary read-config, keystate is
+// the host's own introspection. Reconfiguration is a client protocol and
+// stays with reconfigurers (ares-cli reconfig, ObjectStore.ReconfigureKey).
 
-// OpsServer builds the server's operational HTTP surface: /metrics (the
-// process-wide obs registry), pprof, /healthz gated on ready, and the admin
-// verbs bound to this server. Serve it with ops.Listen / ops.Serve; a nil
-// ready reads as always-ready.
-func (s *Server) OpsServer(ready func() bool) *ops.Server {
-	return &ops.Server{
-		Registry: obs.Default,
-		Ready:    ready,
-		Info: func() map[string]any {
-			return map[string]any{
-				"id":   string(s.ID()),
-				"addr": s.Addr(),
-			}
-		},
-		Admin: ops.AdminHooks{
-			Chain:       s.adminChain,
-			KeyState:    s.adminKeyState,
-			Reconfigure: s.adminReconfigure,
-			Retire:      s.adminRetire,
-			Forget:      s.adminForget,
-		},
-	}
-}
-
-// NewOpsServer builds an ops surface that can be served before the data
-// plane exists — the lifecycle in which the ops listener binds first, so a
+// NewOpsServer builds the server's operational HTTP surface — /metrics (the
+// process-wide obs registry), pprof, /healthz and the admin verbs — before
+// the data plane exists. ares-server binds the ops listener first, so a
 // probe can tell "starting" from "dead" while WAL recovery runs. /metrics
 // and pprof work immediately (recovery counters are exactly what an
 // operator wants to watch during a long replay); /healthz answers 503 and
@@ -84,74 +58,21 @@ func NewOpsServer() (surface *ops.Server, bind func(*Server)) {
 				}
 				return s.adminKeyState(key)
 			},
-			Reconfigure: func(ctx context.Context, key, specStr string) (any, error) {
-				s, err := get()
-				if err != nil {
-					return nil, err
-				}
-				return s.adminReconfigure(ctx, key, specStr)
-			},
-			Retire: func(ctx context.Context, key string) (any, error) {
-				s, err := get()
-				if err != nil {
-					return nil, err
-				}
-				return s.adminRetire(ctx, key)
-			},
-			Forget: func(key string) (any, error) {
-				s, err := get()
-				if err != nil {
-					return nil, err
-				}
-				return s.adminForget(key)
-			},
 		},
 	}
 	return surface, func(s *Server) { live.Store(s) }
 }
 
-// opsAdmin holds the server's admin-verb state: one cached reconfiguration
-// client per key. Caching is not an optimization — a recon client owns a
-// consensus proposer identity per configuration, and the same identity must
-// never be live twice, so each (server, key) pair gets exactly one client
-// for its lifetime (until Forget drops it).
-type opsAdmin struct {
-	mu     sync.Mutex
-	recons map[string]*recon.Client
-}
-
-// reconFor returns (building if needed) the admin reconfiguration client
-// for key, rooted at the key's initial configuration derived from the first
-// installed template. The client rides the server's own outbound transport;
-// its proposer identity is derived from the server ID and key, so admin
-// proposals from different servers never collide.
-func (s *Server) reconFor(key string) (*recon.Client, error) {
-	s.admin.mu.Lock()
-	defer s.admin.mu.Unlock()
-	if rc, ok := s.admin.recons[key]; ok {
-		return rc, nil
-	}
+// adminChain reads key's configuration chain through the ordinary
+// read-config path, from the key's initial configuration derived from the
+// first installed template. The recon client lives for this request only:
+// read-config builds no consensus proposer, so it claims no identity.
+func (s *Server) adminChain(ctx context.Context, key string) (any, error) {
 	templates := s.host.Resolver().Templates()
 	if len(templates) == 0 {
 		return nil, ops.BadRequestError{Msg: "no configuration template installed on this server"}
 	}
-	c0 := templates[0].ForKey(key)
-	self := ProcessID(fmt.Sprintf("%s-admin/%s", s.ID(), key))
-	rc, err := recon.NewClient(self, c0, s.out, core.NewRegistry(), core.RemoteInstaller(s.out), recon.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if s.admin.recons == nil {
-		s.admin.recons = make(map[string]*recon.Client)
-	}
-	s.admin.recons[key] = rc
-	return rc, nil
-}
-
-// adminChain reads key's configuration chain through the ordinary
-// read-config path and renders each entry as its spec string plus status.
-func (s *Server) adminChain(ctx context.Context, key string) (any, error) {
-	rc, err := s.reconFor(key)
+	rc, err := recon.NewClient(s.ID(), templates[0].ForKey(key), s.out, core.NewRegistry(), nil, recon.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -204,86 +125,35 @@ func (s *Server) adminKeyState(key string) (any, error) {
 		c0 := ts[0].ForKey(key)
 		info["initial_config"] = string(c0.ID)
 		// Follow the local tombstone trail so an operator sees where the
-		// chain went without a quorum round. Bounded: the successor record
-		// is per-key and tombstones only accrete forward.
-		id := c0.ID
-		var trail []string
-		for i := 0; i < 16; i++ {
-			succ, ok := res.RetiredSuccessor(key, id)
-			if !ok || succ == "" || succ == id {
-				break
-			}
-			trail = append(trail, string(succ))
-			id = succ
-		}
+		// chain went without a quorum round.
+		trail, cycle := retiredTrail(c0.ID, func(id cfg.ID) (cfg.ID, bool) {
+			return res.RetiredSuccessor(key, id)
+		})
 		if len(trail) > 0 {
 			info["retired_trail"] = trail
+		}
+		if cycle {
+			info["retired_trail_cycle"] = true
 		}
 	}
 	return info, nil
 }
 
-// adminReconfigure proposes the spec string as key's next configuration
-// through the ordinary Paxos path and reports what consensus decided (which
-// may be another reconfigurer's concurrent proposal).
-func (s *Server) adminReconfigure(ctx context.Context, key, specStr string) (any, error) {
-	if specStr == "" {
-		return nil, ops.BadRequestError{Msg: "missing ?spec="}
+// retiredTrail follows successor records from id. They need not point
+// forward — a backward pointer can name an older configuration — so the walk
+// ends at the first repeated ID, which it appends and reports as a cycle.
+func retiredTrail(id cfg.ID, successor func(cfg.ID) (cfg.ID, bool)) (trail []string, cycle bool) {
+	seen := map[cfg.ID]bool{id: true}
+	for {
+		next, ok := successor(id)
+		if !ok || next == "" {
+			return trail, false
+		}
+		trail = append(trail, string(next))
+		if seen[next] {
+			return trail, true
+		}
+		seen[next] = true
+		id = next
 	}
-	proposal, err := spec.Parse(specStr)
-	if err != nil {
-		return nil, ops.BadRequestError{Msg: err.Error()}
-	}
-	rc, err := s.reconFor(key)
-	if err != nil {
-		return nil, err
-	}
-	decided, err := rc.Reconfig(ctx, proposal.ForKey(key))
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"proposed": string(proposal.ForKey(key).ID),
-		"decided":  string(decided.ID),
-		"spec":     spec.Format(decided),
-	}, nil
-}
-
-// adminRetire re-proposes key's current configuration parameters under a
-// fresh ID. Installing the twin finalizes it through the ordinary
-// reconfiguration path, which retires the predecessor — state transfer,
-// tombstone, GC — exactly as any planned migration would.
-func (s *Server) adminRetire(ctx context.Context, key string) (any, error) {
-	rc, err := s.reconFor(key)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := rc.ReadConfig(ctx, rc.Sequence())
-	if err != nil {
-		return nil, err
-	}
-	last := seq[seq.Nu()].Cfg
-	proposal := last
-	proposal.ID = cfg.ID(fmt.Sprintf("%s/retire-%d", last.ID, seq.Nu()+1))
-	proposal.Key = key
-	decided, err := rc.Reconfig(ctx, proposal)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"retired": string(last.ID),
-		"decided": string(decided.ID),
-	}, nil
-}
-
-// adminForget drops the cached admin reconfiguration client for key, so a
-// later verb rebuilds one from the chain's current state. The proposer
-// identity it retires is never reused concurrently: the drop happens under
-// the same lock that builds clients.
-func (s *Server) adminForget(key string) (any, error) {
-	s.admin.mu.Lock()
-	defer s.admin.mu.Unlock()
-	_, ok := s.admin.recons[key]
-	delete(s.admin.recons, key)
-	return map[string]any{"dropped": ok}, nil
 }

@@ -16,9 +16,10 @@ import (
 
 // TestOpsAdminRoundTrip runs the full operational loop against a live TCP
 // deployment: start three durable servers with a per-key template, serve
-// the ops surface off one of them, then drive chain → reconfigure → chain
-// through the admin HTTP API and confirm the data plane agrees — a value
-// written before the admin reconfiguration must still read back after it.
+// the ops surface off one of them, then read the chain through the admin
+// HTTP API before and after an ordinary client reconfiguration and confirm
+// the data plane agrees — a value written before the reconfiguration must
+// still read back after it.
 func TestOpsAdminRoundTrip(t *testing.T) {
 	t.Parallel()
 	tmpl := ares.Config{
@@ -52,7 +53,9 @@ func TestOpsAdminRoundTrip(t *testing.T) {
 		}
 	}
 
-	opsAddr, stopOps, err := ops.Listen("127.0.0.1:0", servers[0].OpsServer(nil))
+	surface, bind := ares.NewOpsServer()
+	bind(servers[0])
+	opsAddr, stopOps, err := ops.Listen("127.0.0.1:0", surface)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestOpsAdminRoundTrip(t *testing.T) {
 	defer cancel()
 
 	// A value through the ordinary data plane, rooted at the key's derived
-	// initial configuration — the same derivation the admin verbs use.
+	// initial configuration — the same derivation the chain verb uses.
 	const key = "k1"
 	c0 := tmpl.ForKey(key)
 	wRPC := ares.NewTCPClient("opsrt-w1", book)
@@ -72,26 +75,30 @@ func TestOpsAdminRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(ctx, ares.Value("before admin reconfig")); err != nil {
+	if _, err := w.Write(ctx, ares.Value("before reconfig")); err != nil {
 		t.Fatal(err)
 	}
 
 	// Chain verb: one finalized entry, the derived c0.
-	chain := adminCall(t, http.MethodGet, base+"/admin/chain", url.Values{"key": {key}})
+	chain := adminGet(t, base+"/admin/chain", url.Values{"key": {key}})
 	if !strings.Contains(string(chain), "opsrt/k1/c0") || !strings.Contains(string(chain), "finalized") {
 		t.Fatalf("initial chain = %s", chain)
 	}
 
-	// Reconfigure verb: propose a concrete successor through the admin API.
-	next := "id=opsrt-k1-c1;alg=abd;servers=opsrt-s1,opsrt-s2,opsrt-s3"
-	rec := adminCall(t, http.MethodPost, base+"/admin/reconfigure",
-		url.Values{"key": {key}, "spec": {next}})
-	if !strings.Contains(string(rec), "opsrt-k1-c1") {
-		t.Fatalf("reconfigure result = %s", rec)
+	// An ordinary reconfigurer proposes a concrete successor for the key.
+	gRPC := ares.NewTCPClient("opsrt-g1", book)
+	defer gRPC.Close()
+	g, err := ares.NewRemoteReconfigurer("opsrt-g1", c0, gRPC, ares.ReconOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := ares.Config{ID: "opsrt-k1-c1", Algorithm: ares.ABD, Servers: tmpl.Servers}
+	if decided, err := g.Reconfig(ctx, next.ForKey(key)); err != nil || decided.ID != "opsrt-k1-c1" {
+		t.Fatalf("reconfig decided %v, err %v", decided.ID, err)
 	}
 
 	// The chain verb must now see the successor...
-	chain = adminCall(t, http.MethodGet, base+"/admin/chain", url.Values{"key": {key}})
+	chain = adminGet(t, base+"/admin/chain", url.Values{"key": {key}})
 	if !strings.Contains(string(chain), "opsrt-k1-c1") {
 		t.Fatalf("post-reconfig chain = %s", chain)
 	}
@@ -106,24 +113,14 @@ func TestOpsAdminRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pair.Value) != "before admin reconfig" {
-		t.Fatalf("read %q after admin reconfiguration", pair.Value)
+	if string(pair.Value) != "before reconfig" {
+		t.Fatalf("read %q after reconfiguration", pair.Value)
 	}
 
 	// KeyState verb reports the server-local view.
-	ks := adminCall(t, http.MethodGet, base+"/admin/keystate", url.Values{"key": {key}})
+	ks := adminGet(t, base+"/admin/keystate", url.Values{"key": {key}})
 	if !strings.Contains(string(ks), "opsrt-s1") || !strings.Contains(string(ks), "initial_config") {
 		t.Fatalf("keystate = %s", ks)
-	}
-
-	// Forget drops the cached admin client; a follow-up chain rebuilds one.
-	fg := adminCall(t, http.MethodPost, base+"/admin/forget", url.Values{"key": {key}})
-	if !strings.Contains(string(fg), "true") {
-		t.Fatalf("forget = %s", fg)
-	}
-	chain = adminCall(t, http.MethodGet, base+"/admin/chain", url.Values{"key": {key}})
-	if !strings.Contains(string(chain), "opsrt-k1-c1") {
-		t.Fatalf("chain after forget = %s", chain)
 	}
 
 	// The acceptance bar for the metrics surface: one scrape shows live
@@ -198,19 +195,11 @@ func TestOpsLateBinding(t *testing.T) {
 	}
 }
 
-// adminCall performs one admin verb and returns the raw result JSON,
+// adminGet performs one admin verb and returns the raw result JSON,
 // failing the test on transport errors or ok=false.
-func adminCall(t *testing.T, method, u string, form url.Values) json.RawMessage {
+func adminGet(t *testing.T, u string, form url.Values) json.RawMessage {
 	t.Helper()
-	var (
-		resp *http.Response
-		err  error
-	)
-	if method == http.MethodPost {
-		resp, err = http.PostForm(u, form)
-	} else {
-		resp, err = http.Get(u + "?" + form.Encode())
-	}
+	resp, err := http.Get(u + "?" + form.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +213,7 @@ func adminCall(t *testing.T, method, u string, form url.Values) json.RawMessage 
 		t.Fatalf("decoding %s: %v", u, err)
 	}
 	if resp.StatusCode != http.StatusOK || !vr.OK {
-		t.Fatalf("%s %s: status=%d error=%q", method, u, resp.StatusCode, vr.Error)
+		t.Fatalf("GET %s: status=%d error=%q", u, resp.StatusCode, vr.Error)
 	}
 	return vr.Result
 }

@@ -18,9 +18,6 @@ type Server struct {
 	host *core.Host
 	tcp  *transport.TCPServer
 	out  *transport.TCPClient
-	// admin caches per-key reconfiguration clients for the ops surface's
-	// admin verbs (see ops.go). Zero value ready; guarded by its own lock.
-	admin opsAdmin
 }
 
 // AddressBook resolves process IDs to TCP addresses. Multi-process

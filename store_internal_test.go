@@ -132,7 +132,7 @@ func TestReconfigureKeyReusesCachedReconfigurer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reconFor := func(key string) *Reconfigurer {
+	cachedRecon := func(key string) *Reconfigurer {
 		sh := store.shard(key)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -156,13 +156,13 @@ func TestReconfigureKeyReusesCachedReconfigurer(t *testing.T) {
 		}
 	}
 	walk(1)
-	first := reconFor("k")
+	first := cachedRecon("k")
 	if first == nil {
 		t.Fatal("no cached reconfigurer after first ReconfigureKey")
 	}
 	walk(2)
 	walk(3)
-	if again := reconFor("k"); again != first {
+	if again := cachedRecon("k"); again != first {
 		t.Fatal("ReconfigureKey rebuilt the reconfigurer instead of reusing the cache")
 	}
 	if v, err := store.Get(ctx, "k"); err != nil || string(v) != "v0" {
@@ -174,11 +174,11 @@ func TestReconfigureKeyReusesCachedReconfigurer(t *testing.T) {
 	if n := store.EvictIdle(0); n == 0 {
 		t.Fatal("EvictIdle dropped nothing")
 	}
-	if reconFor("k") != nil {
+	if cachedRecon("k") != nil {
 		t.Fatal("reconfigurer survived EvictIdle(0)")
 	}
 	walk(4)
-	if rebuilt := reconFor("k"); rebuilt == nil || rebuilt == first {
+	if rebuilt := cachedRecon("k"); rebuilt == nil || rebuilt == first {
 		t.Fatal("post-eviction walk did not rebuild a fresh reconfigurer")
 	}
 }

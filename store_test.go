@@ -325,7 +325,9 @@ func TestRepairServerPublicAPI(t *testing.T) {
 	}
 	// A healthy server repairs to zero installs — the public wrapper wires
 	// through to the TREAS repair path (loss scenarios are covered in
-	// internal/treas).
+	// internal/treas). The write returned at 4 of 5 acks, so wait for the
+	// fifth put-data to land before asking that server what it holds.
+	net.Quiesce()
 	n, err := ares.RepairServer(ctx, net.Client("fixer"), c0, servers[0])
 	if err != nil {
 		t.Fatal(err)
