@@ -230,3 +230,47 @@ func TestCmdKillDashNineAndRecover(t *testing.T) {
 		t.Fatalf("post-recovery read output: %s", out)
 	}
 }
+
+// TestCmdServerRefusesOtherDataFormat pins fail-stop start-up on a data
+// directory of another on-disk format: ares-server -data-dir over a
+// directory holding a log segment but no format marker (format 1) must exit
+// non-zero, naming both formats, instead of serving.
+func TestCmdServerRefusesOtherDataFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs subprocesses")
+	}
+	t.Parallel()
+
+	serverBin := filepath.Join(t.TempDir(), "ares-server")
+	build := exec.Command("go", "build", "-o", serverBin, "./cmd/ares-server")
+	if msg, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building ares-server: %v\n%s", err, msg)
+	}
+	dataDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dataDir, "s0-1.wal"), []byte("gob-era record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(serverBin,
+		"-id", "s1", "-listen", "127.0.0.1:0", "-peers", "s1=127.0.0.1:17790",
+		"-bootstrap", "id=c0;alg=abd;servers=s1", "-data-dir", dataDir, "-fsync=false")
+	done := make(chan error, 1)
+	var out strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatalf("ares-server exited 0 on an old-format data dir:\n%s", out.String())
+		}
+		if msg := out.String(); !strings.Contains(msg, "holds data format 1") || !strings.Contains(msg, "this build reads format 2") {
+			t.Fatalf("exit message does not name both formats:\n%s", msg)
+		}
+	case <-time.After(20 * time.Second):
+		_ = cmd.Process.Kill()
+		<-done
+		t.Fatalf("ares-server kept running on an old-format data dir:\n%s", out.String())
+	}
+}

@@ -37,21 +37,21 @@ const (
 	msgWrite    = "write"
 )
 
-// Wire bodies. Value travels in full on every query/write: this is exactly
-// the communication cost replication pays and the paper's motivation for
-// TREAS.
+// Wire bodies (binary encodings in codec.go). Value travels in full on
+// every query/write: this is exactly the communication cost replication pays
+// and the paper's motivation for TREAS.
 type (
 	tagResp struct {
 		Tag tag.Tag
 	}
-	pairResp struct {
+	// pairBody is the shape of every body that carries a value: the query
+	// reply, the write request, and the register's snapshot blob.
+	pairBody struct {
 		Tag   tag.Tag
 		Value []byte
 	}
-	writeReq struct {
-		Tag   tag.Tag
-		Value []byte
-	}
+	pairResp = pairBody
+	writeReq = pairBody
 )
 
 // register is the per-(key, config) server state: one tag-value pair,
@@ -115,7 +115,10 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 	case msgQuery:
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		return pairResp{Tag: st.tag, Value: st.val.Clone()}, nil
+		// No clone: apply only ever installs a freshly cloned slice and
+		// never writes into a stored one, so the value stays immutable
+		// after this lock is released and the reply encodes it then.
+		return pairResp{Tag: st.tag, Value: st.val}, nil
 	case msgWrite:
 		var req writeReq
 		if err := transport.Unmarshal(payload, &req); err != nil {

@@ -9,19 +9,12 @@ import (
 	"fmt"
 
 	"github.com/ares-storage/ares/internal/keystate"
-	"github.com/ares-storage/ares/internal/tag"
 	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/types"
 )
 
 // opWrite journals a msgWrite payload.
 const opWrite byte = 1
-
-// registerSnap is the snapshot blob of one register.
-type registerSnap struct {
-	Tag   tag.Tag
-	Value []byte
-}
 
 var _ keystate.DurableService = (*Service)(nil)
 
@@ -62,7 +55,7 @@ func (s *Service) SnapshotStates(emit func(key, configID string, blob []byte) er
 	var outerErr error
 	s.states.Range(func(ref keystate.Ref, st *register) bool {
 		st.mu.Lock()
-		blob, err := transport.Marshal(registerSnap{Tag: st.tag, Value: st.val})
+		blob, err := transport.Marshal(pairBody{Tag: st.tag, Value: st.val})
 		st.mu.Unlock()
 		if err == nil {
 			err = emit(ref.Key, ref.Config, blob)
@@ -77,7 +70,7 @@ func (s *Service) SnapshotStates(emit func(key, configID string, blob []byte) er
 // so restoring a snapshot older than already-replayed log records never
 // regresses the register.
 func (s *Service) RestoreState(key, configID string, blob []byte) error {
-	var snap registerSnap
+	var snap pairBody
 	if err := transport.Unmarshal(blob, &snap); err != nil {
 		return err
 	}
@@ -85,13 +78,14 @@ func (s *Service) RestoreState(key, configID string, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	st.apply(writeReq{Tag: snap.Tag, Value: snap.Value})
+	st.apply(snap)
 	return nil
 }
 
 // apply advances the register iff the incoming tag is newer — the one shared
-// mutation path for live writes, replay, and snapshot restore.
-func (st *register) apply(req writeReq) {
+// mutation path for live writes, replay, and snapshot restore. It stores a
+// clone: req.Value aliases the payload it was decoded from.
+func (st *register) apply(req pairBody) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.tag.Less(req.Tag) {

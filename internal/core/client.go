@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ares-storage/ares/internal/cfg"
@@ -41,7 +41,9 @@ type RetryPolicy struct {
 	// replay reproduces the exact retry pacing. Zero derives a stable
 	// per-client seed from the process ID. Each client owns its source:
 	// thousands of concurrent per-key clients never contend on the global
-	// locked math/rand state.
+	// locked math/rand state, and the source is one word (splitmix64), not
+	// a 4.9 KB math/rand source that an ABD key, which never retries,
+	// would carry for nothing.
 	Seed int64
 }
 
@@ -113,10 +115,10 @@ type Client struct {
 
 	// retry paces get-data retries while a TREAS tag is transiently
 	// undecodable (Theorem 9 guarantees progress within the δ bound).
-	// jrng is the client's private jitter source (see RetryPolicy.Seed).
-	retry RetryPolicy
-	jmu   sync.Mutex
-	jrng  *rand.Rand
+	// jitter is the client's private splitmix64 state (see
+	// RetryPolicy.Seed).
+	retry  RetryPolicy
+	jitter atomic.Uint64
 }
 
 // retrySeed derives the default jitter seed for a client: a stable hash of
@@ -138,15 +140,16 @@ func NewClient(self types.ProcessID, c0 cfg.Configuration, rpc transport.Client,
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
+	c := &Client{
 		self:  self,
 		rpc:   rpc,
 		daps:  cache,
 		rec:   rec,
 		cseq:  cfg.NewSequence(c0),
 		retry: DefaultRetryPolicy,
-		jrng:  rand.New(rand.NewSource(retrySeed(self))),
-	}, nil
+	}
+	c.jitter.Store(uint64(retrySeed(self)))
+	return c, nil
 }
 
 // SetRetryPolicy replaces the pacing of not-yet-decodable read retries.
@@ -157,7 +160,7 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	if seed == 0 {
 		seed = retrySeed(c.self)
 	}
-	c.jrng = rand.New(rand.NewSource(seed))
+	c.jitter.Store(uint64(seed))
 }
 
 // reportRead mirrors one completed read into the process-wide registry.
@@ -174,11 +177,14 @@ func reportRead(rounds, retries int, fastPath bool) {
 	}
 }
 
-// retryDelay draws the next paced delay from the client's own jitter source.
+// retryDelay draws the next paced delay from the client's own jitter
+// source: one splitmix64 step, taken as a fraction in [0, 1).
 func (c *Client) retryDelay(attempt int) time.Duration {
-	c.jmu.Lock()
-	frac := c.jrng.Float64()
-	c.jmu.Unlock()
+	z := c.jitter.Add(0x9E3779B97F4A7C15)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	z ^= z >> 31
+	frac := float64(z>>11) / (1 << 53)
 	return c.retry.delayAt(attempt, frac)
 }
 

@@ -103,7 +103,7 @@ func E2WriteCommCost() (*Result, error) {
 		Table: table,
 		Notes: []string{
 			"measured = put-data request bytes per write (value-bearing traffic only)",
-			"gob framing adds a small constant per message; the n/k shape is exact",
+			"each message adds a few bytes of tag and length prefixes; the n/k shape is exact",
 		},
 	}, nil
 }

@@ -231,15 +231,19 @@ func (d *Durability) replayLog(name string, fn func(r Record) error) (lastSeq in
 // Recover replays meta snapshot + meta log, then stripe snapshots + stripe
 // logs, opens the logs for appending, and attaches journals to every
 // registered service. It must complete before the node answers its first
-// envelope. Safe on an empty directory (fresh start). A stripe record whose
-// family no registered service owns fails recovery, naming the family and
-// the file that holds it.
+// envelope. Safe on an empty directory (fresh start), which it stamps with
+// FormatVersion. A directory of another format fails recovery, as does a
+// stripe record whose family no registered service owns (the error names
+// the family and the file that holds it).
 func (d *Durability) Recover() (RecoveryStats, error) {
 	if d.recovered {
 		return d.stats, errors.New("keystate: already recovered")
 	}
 	if d.meta == nil {
 		return d.stats, errors.New("keystate: no meta hooks registered")
+	}
+	if err := checkFormat(d.dir); err != nil {
+		return d.stats, err
 	}
 	// 1. Meta state first: stripe records only replay once their
 	// configurations resolve, and retire replay both tombstones pairs and

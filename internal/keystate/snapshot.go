@@ -10,9 +10,11 @@ package keystate
 // is what lets segments overlap snapshots instead of needing generations.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // snapshotWriter accumulates framed records for one snapshot file and
@@ -90,15 +92,19 @@ func readSnapshot(path string, fn func(r Record) error) error {
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed file's
-// directory entry is durable (best effort: some platforms reject directory
-// fsync, which only widens the crash window back to the filesystem's own
-// ordering guarantees).
+// directory entry is durable. Callers rely on it: a snapshot's rename must
+// be durable before the segments it compacted are deleted, and the format
+// marker before the first record. Only EINVAL is tolerated — the errno of a
+// file system that cannot fsync a directory, where the crash window falls
+// back to the file system's own ordering guarantees.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	_ = d.Sync()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
+		return fmt.Errorf("keystate: fsync of directory %s: %w", dir, err)
+	}
 	return nil
 }

@@ -56,7 +56,8 @@ const (
 	maxGossipFanouts = 16
 )
 
-// Wire bodies.
+// Wire bodies. readConfigResp has a binary encoding (codec.go); a reply
+// without a successor carries no entry.
 type (
 	readConfigResp struct {
 		HasNext bool

@@ -10,8 +10,10 @@
 package tag
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/types"
 )
 
@@ -79,6 +81,25 @@ func MaxOf(tags ...Tag) Tag {
 // String renders the tag as (z, w).
 func (t Tag) String() string {
 	return fmt.Sprintf("(%d,%s)", t.Z, t.W)
+}
+
+// BodySize is the length of t's binary encoding (transport.BodyEncoder).
+func (t Tag) BodySize() int {
+	return transport.VarintSize(t.Z) + transport.BytesSize(len(t.W))
+}
+
+// AppendBody appends t's binary encoding: Z as a zig-zag varint, then W as
+// a length-prefixed string. Every binary body that carries a tag embeds
+// this encoding.
+func (t Tag) AppendBody(b []byte) []byte {
+	b = binary.AppendVarint(b, t.Z)
+	return transport.AppendString(b, string(t.W))
+}
+
+// Decode reads a tag written by AppendBody.
+func Decode(c *transport.Cursor) Tag {
+	z := c.Varint()
+	return Tag{Z: z, W: types.ProcessID(c.Str())}
 }
 
 // Pair couples a tag with a value, the unit stored and transferred by the

@@ -93,8 +93,8 @@ func TestWireRejectsMalformedBatchFrames(t *testing.T) {
 		"count exceeds frame bytes": append(
 			binary.AppendUvarint([]byte{frameBatch}, 1<<20), 1, 2, 3),
 		"trailing bytes": append(
-			appendWireBytes(binary.AppendUvarint([]byte{frameBatch}, 1), valid), 0xEE),
-		"truncated inner body": appendWireBytes(
+			AppendBytes(binary.AppendUvarint([]byte{frameBatch}, 1), valid), 0xEE),
+		"truncated inner body": AppendBytes(
 			binary.AppendUvarint([]byte{frameBatch}, 2), valid),
 	}
 	for name, body := range cases {
@@ -285,10 +285,10 @@ func captureFrames(t *testing.T, raw *bytes.Buffer) []capturedFrame {
 		}
 		f := capturedFrame{bytes: len(body), envelopes: 1}
 		if len(body) > 0 && body[0] == frameBatch {
-			c := wireCursor{b: body[1:]}
-			f.envelopes = int(c.uvarint())
-			if c.err != nil {
-				t.Fatal(c.err)
+			c := NewCursor(body[1:])
+			f.envelopes = int(c.Uvarint())
+			if c.Err() != nil {
+				t.Fatal(c.Err())
 			}
 		}
 		frames = append(frames, f)

@@ -10,19 +10,27 @@ import (
 )
 
 // The codec layer is the hot path of every quorum phase: each request and
-// response body passes through Marshal/Unmarshal. Two mechanisms keep it
-// cheap and observable:
+// response body passes through Marshal/Unmarshal. A body takes one of three
+// paths:
 //
-//   - encode buffers are pooled, so the amortized cost of a Marshal is one
-//     exact-size allocation for the returned payload instead of repeated
-//     buffer growth;
-//   - every encode/decode is counted (operations and payload bytes), which
-//     is what lets tests pin the Broadcast marshal-once invariant and
-//     benchmarks attribute wire-byte savings.
+//   - a binary body (BodyEncoder / BodyDecoder, see body.go) is encoded into
+//     one allocation of exactly BodySize bytes and decoded without
+//     reflection. Every body a steady Get or Put sends is one;
+//   - struct{}{}, the body of a request that carries nothing, encodes to
+//     zero bytes, and only an empty payload decodes into *struct{};
+//   - any other body falls back to gob. A gob encoder is stream-stateful
+//     (it emits each type's wire description once per stream) while payloads
+//     must stay independently decodable, so each fallback encode runs a fresh
+//     encoder over a pooled buffer and re-sends the type dictionary. Only
+//     bodies off the steady path take it: Paxos, write-config, install, the
+//     §5 transfer and the recon/consensus/core snapshots. (Repair sends
+//     only query-list and put-data, so it is binary too.)
 //
-// Gob encoders themselves cannot be pooled: an encoder is stream-stateful
-// (it emits each type's wire description once per stream), while payloads
-// must stay independently decodable. Fresh encoder, pooled buffer.
+// Every encode and decode is counted (operations and payload bytes) on all
+// three paths, which is what lets tests pin the Broadcast marshal-once
+// invariant and benchmarks attribute wire bytes. Gob encodes and decodes
+// also count into ares_codec_gob_fallbacks_total, which reads zero over a
+// steady workload.
 
 // maxPooledBuffer bounds the capacity of buffers returned to the pool, so a
 // single huge value does not pin a huge buffer for the process lifetime.
@@ -71,6 +79,7 @@ type codecCounters struct {
 	decodes      *obs.Counter
 	encodedBytes *obs.Counter
 	decodedBytes *obs.Counter
+	gobFallbacks *obs.Counter
 
 	wireEncodes      *obs.Counter
 	wireDecodes      *obs.Counter
@@ -88,6 +97,7 @@ var codecStats = func() codecCounters {
 		decodes:          r.Counter("ares_codec_decodes_total", "Unmarshal operations (message bodies decoded)"),
 		encodedBytes:     r.Counter("ares_codec_encoded_bytes_total", "Payload bytes produced by Marshal"),
 		decodedBytes:     r.Counter("ares_codec_decoded_bytes_total", "Payload bytes consumed by Unmarshal"),
+		gobFallbacks:     r.Counter("ares_codec_gob_fallbacks_total", "Marshal and Unmarshal operations on bodies without a binary encoding"),
 		wireEncodes:      r.Counter("ares_wire_encodes_total", "TCP frames written"),
 		wireDecodes:      r.Counter("ares_wire_decodes_total", "TCP frames read"),
 		wireEncodedBytes: r.Counter("ares_wire_encoded_bytes_total", "Socket bytes written, framing included"),
@@ -102,25 +112,42 @@ var codecStats = func() codecCounters {
 	return c
 }()
 
-// Marshal gob-encodes a message body for use as a Request or Response
-// payload. Bodies are concrete structs owned by each protocol package.
+// Marshal encodes a message body for use as a Request or Response payload.
+// Bodies are concrete structs owned by each protocol package.
 func Marshal(v any) ([]byte, error) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		if buf.Cap() <= maxPooledBuffer {
-			bufPool.Put(buf)
+	var out []byte
+	switch b := v.(type) {
+	case BodyEncoder:
+		size := b.BodySize()
+		out = b.AppendBody(make([]byte, 0, size))
+		if len(out) != size {
+			return nil, fmt.Errorf("transport: encoding %T: BodySize %d, AppendBody wrote %d", v, size, len(out))
 		}
-		return nil, fmt.Errorf("transport: encoding %T: %w", v, err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	if buf.Cap() <= maxPooledBuffer {
-		bufPool.Put(buf)
+	case struct{}:
+	default:
+		var err error
+		if out, err = gobMarshal(v); err != nil {
+			return nil, err
+		}
 	}
 	codecStats.encodes.Add(1)
 	codecStats.encodedBytes.Add(int64(len(out)))
 	return out, nil
+}
+
+func gobMarshal(v any) ([]byte, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBuffer {
+			bufPool.Put(buf)
+		}
+	}()
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("transport: encoding %T: %w", v, err)
+	}
+	codecStats.gobFallbacks.Add(1)
+	return append([]byte(nil), buf.Bytes()...), nil
 }
 
 // MustMarshal is Marshal for bodies that cannot fail to encode (plain
@@ -134,9 +161,22 @@ func MustMarshal(v any) []byte {
 	return b
 }
 
-// Unmarshal decodes a payload produced by Marshal into v.
+// Unmarshal decodes a payload produced by Marshal into v. A binary body's
+// byte fields may alias data.
 func Unmarshal(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+	var err error
+	switch b := v.(type) {
+	case BodyDecoder:
+		err = b.DecodeBody(data)
+	case *struct{}:
+		if len(data) != 0 {
+			err = fmt.Errorf("%w: %d bytes for an empty body", errMalformed, len(data))
+		}
+	default:
+		codecStats.gobFallbacks.Add(1)
+		err = gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	}
+	if err != nil {
 		return fmt.Errorf("transport: decoding %T: %w", v, err)
 	}
 	codecStats.decodes.Add(1)

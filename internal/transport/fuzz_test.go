@@ -43,8 +43,8 @@ func wireSeeds(t testing.TB) [][]byte {
 // replies, batches included. It must never panic, never allocate more than
 // the frame limit beyond what the input itself accounts for, and every
 // envelope it accepts must re-encode and decode to an equal envelope.
-// Byte-identity is deliberately not asserted: a non-minimal uvarint decodes
-// to the same envelope.
+// Byte-identity with the input is not asserted: the envelopes of a batch
+// frame re-encode as plain frames.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range wireSeeds(f) {
 		f.Add(seed)

@@ -38,7 +38,9 @@ type Request struct {
 	Config string
 	// Type is the message type within the service, e.g. "query-tag".
 	Type string
-	// Payload is the gob-encoded message body.
+	// Payload is the message body as transport.Marshal encoded it: a binary
+	// body (BodyEncoder) on the steady data path, gob off it, and empty for
+	// struct{}{}.
 	Payload []byte
 }
 
@@ -48,7 +50,8 @@ type Response struct {
 	OK bool
 	// Err holds the error text when OK is false.
 	Err string
-	// Payload is the gob-encoded response body.
+	// Payload is the response body as transport.Marshal encoded it (see
+	// Request.Payload); empty for an acknowledgement.
 	Payload []byte
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"github.com/ares-storage/ares/internal/types"
 )
@@ -14,15 +13,19 @@ import (
 // The TCP wire layer frames request/reply envelopes onto a byte stream. Every
 // frame is a 4-byte big-endian length followed by a hand-rolled body — a kind
 // byte, a uvarint request ID, and uvarint-length-prefixed strings/bytes for
-// the envelope fields. Nothing else crosses the wire: no type dictionaries,
-// no field names, no per-stream state. A frame costs its fields plus one
-// varint per field plus 5 bytes of framing.
+// the envelope fields — written and read with the same append helpers and
+// strict Cursor as binary message bodies (body.go). Nothing else crosses the
+// wire: no type dictionaries, no field names, no per-stream state. A frame
+// costs its fields plus one varint per field plus 5 bytes of framing.
 //
 // Frames are counted into the obs registry (ares_wire_encodes_total,
 // ares_wire_encoded_bytes_total, ...), which is how benchmarks attribute
-// bytes-per-operation to the codec. Body payloads inside the envelope remain
-// the product of transport.Marshal, so the Broadcast marshal-once invariants
-// (one body encode per quorum phase) are unaffected by the framing.
+// bytes-per-operation to the codec. The payload inside an envelope is the
+// opaque product of transport.Marshal (a binary body on the steady path, gob
+// off it), so the Broadcast marshal-once invariants (one body encode per
+// quorum phase) are unaffected by the framing. The reader copies each
+// payload out of its reused frame buffer, which is what lets body decoders
+// alias their input.
 
 // Frame kinds. The kind byte leads every frame body so a peer that
 // cross-wires directions (or a corrupted stream) fails loudly instead of
@@ -70,58 +73,38 @@ type wireEnvelope interface {
 // wireSize is an envelope's exact cost inside a batch frame: its body plus
 // the body's length prefix. A lone envelope rides a plain frame, which is
 // smaller still.
-func wireSize[T wireEnvelope](v T) int { return wireBytesSize(v.bodySize()) }
-
-// uvarintSize is the encoded length of v as a uvarint.
-func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// wireBytesSize is the encoded length of an n-byte string or byte field.
-func wireBytesSize(n int) int { return uvarintSize(uint64(n)) + n }
-
-func appendWireString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendWireBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
+func wireSize[T wireEnvelope](v T) int { return BytesSize(v.bodySize()) }
 
 func (env tcpEnvelope) bodySize() int {
-	return 1 + uvarintSize(env.ID) + wireBytesSize(len(env.From)) +
-		wireBytesSize(len(env.Req.Service)) + wireBytesSize(len(env.Req.Key)) +
-		wireBytesSize(len(env.Req.Config)) + wireBytesSize(len(env.Req.Type)) +
-		wireBytesSize(len(env.Req.Payload))
+	return 1 + UvarintSize(env.ID) + BytesSize(len(env.From)) +
+		BytesSize(len(env.Req.Service)) + BytesSize(len(env.Req.Key)) +
+		BytesSize(len(env.Req.Config)) + BytesSize(len(env.Req.Type)) +
+		BytesSize(len(env.Req.Payload))
 }
 
 func (env tcpEnvelope) appendBody(b []byte) []byte {
 	b = append(b, frameRequest)
 	b = binary.AppendUvarint(b, env.ID)
-	b = appendWireString(b, string(env.From))
-	b = appendWireString(b, env.Req.Service)
-	b = appendWireString(b, env.Req.Key)
-	b = appendWireString(b, env.Req.Config)
-	b = appendWireString(b, env.Req.Type)
-	b = appendWireBytes(b, env.Req.Payload)
+	b = AppendString(b, string(env.From))
+	b = AppendString(b, env.Req.Service)
+	b = AppendString(b, env.Req.Key)
+	b = AppendString(b, env.Req.Config)
+	b = AppendString(b, env.Req.Type)
+	b = AppendBytes(b, env.Req.Payload)
 	return b
 }
 
 func (rep tcpReply) bodySize() int {
-	return 2 + uvarintSize(rep.ID) + wireBytesSize(len(rep.Resp.Err)) +
-		wireBytesSize(len(rep.Resp.Payload))
+	return 2 + UvarintSize(rep.ID) + BytesSize(len(rep.Resp.Err)) +
+		BytesSize(len(rep.Resp.Payload))
 }
 
 func (rep tcpReply) appendBody(b []byte) []byte {
 	b = append(b, frameReply)
 	b = binary.AppendUvarint(b, rep.ID)
-	if rep.Resp.OK {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendWireString(b, rep.Resp.Err)
-	b = appendWireBytes(b, rep.Resp.Payload)
+	b = AppendBool(b, rep.Resp.OK)
+	b = AppendString(b, rep.Resp.Err)
+	b = AppendBytes(b, rep.Resp.Payload)
 	return b
 }
 
@@ -258,87 +241,24 @@ func (d *frameDecoder) nextBody() ([]byte, error) {
 	if len(body) == 0 || body[0] != frameBatch {
 		return body, nil
 	}
-	c := wireCursor{b: body[1:]}
-	n := c.uvarint()
-	if c.err != nil {
-		return nil, c.err
+	c := NewCursor(body[1:])
+	n := c.Count(1) // every inner body costs ≥1 byte on the wire
+	if c.Err() != nil {
+		return nil, fmt.Errorf("transport: batch frame: %w", c.Err())
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("transport: empty batch frame")
 	}
-	if n > uint64(len(c.b)) { // every inner body costs ≥1 byte on the wire
-		return nil, fmt.Errorf("transport: batch frame claims %d envelopes in %d bytes", n, len(c.b))
-	}
 	inners := d.pending[:0]
-	for i := uint64(0); i < n; i++ {
-		inner := c.bytes()
-		if c.err != nil {
-			return nil, c.err
-		}
-		inners = append(inners, inner)
+	for i := 0; i < n; i++ {
+		inners = append(inners, c.Bytes())
 	}
-	if len(c.b) != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after batch frame", len(c.b))
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("transport: batch frame: %w", err)
 	}
 	body = inners[0]
 	d.pending = inners[1:]
 	return body, nil
-}
-
-// wireCursor walks a frame body, remembering the first malformation.
-type wireCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *wireCursor) fail() {
-	if c.err == nil {
-		c.err = fmt.Errorf("transport: truncated wire frame")
-	}
-}
-
-func (c *wireCursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *wireCursor) bytes() []byte {
-	n := c.uvarint()
-	if c.err != nil {
-		return nil
-	}
-	if uint64(len(c.b)) < n {
-		c.fail()
-		return nil
-	}
-	p := c.b[:n]
-	c.b = c.b[n:]
-	return p
-}
-
-// string copies; the frame body is a reused scratch buffer and envelope
-// fields outlive the next read.
-func (c *wireCursor) string() string { return string(c.bytes()) }
-
-func (c *wireCursor) byte() byte {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) == 0 {
-		c.fail()
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
 }
 
 func (d *frameDecoder) decodeRequest(env *tcpEnvelope) error {
@@ -346,22 +266,18 @@ func (d *frameDecoder) decodeRequest(env *tcpEnvelope) error {
 	if err != nil {
 		return err
 	}
-	c := wireCursor{b: body}
-	if kind := c.byte(); c.err == nil && kind != frameRequest {
+	c := NewCursor(body)
+	if kind := c.Byte(); c.Err() == nil && kind != frameRequest {
 		return fmt.Errorf("transport: expected request frame, got kind 0x%02x", kind)
 	}
-	env.ID = c.uvarint()
-	env.From = types.ProcessID(c.string())
-	env.Req.Service = c.string()
-	env.Req.Key = c.string()
-	env.Req.Config = c.string()
-	env.Req.Type = c.string()
-	if p := c.bytes(); len(p) > 0 {
-		env.Req.Payload = append([]byte(nil), p...)
-	} else {
-		env.Req.Payload = nil
-	}
-	return c.err
+	env.ID = c.Uvarint()
+	env.From = types.ProcessID(c.Str())
+	env.Req.Service = c.Str()
+	env.Req.Key = c.Str()
+	env.Req.Config = c.Str()
+	env.Req.Type = c.Str()
+	env.Req.Payload = ownPayload(c.Bytes())
+	return wireErr(c.Finish())
 }
 
 func (d *frameDecoder) decodeReply(rep *tcpReply) error {
@@ -369,17 +285,30 @@ func (d *frameDecoder) decodeReply(rep *tcpReply) error {
 	if err != nil {
 		return err
 	}
-	c := wireCursor{b: body}
-	if kind := c.byte(); c.err == nil && kind != frameReply {
+	c := NewCursor(body)
+	if kind := c.Byte(); c.Err() == nil && kind != frameReply {
 		return fmt.Errorf("transport: expected reply frame, got kind 0x%02x", kind)
 	}
-	rep.ID = c.uvarint()
-	rep.Resp.OK = c.byte() == 1
-	rep.Resp.Err = c.string()
-	if p := c.bytes(); len(p) > 0 {
-		rep.Resp.Payload = append([]byte(nil), p...)
-	} else {
-		rep.Resp.Payload = nil
+	rep.ID = c.Uvarint()
+	rep.Resp.OK = c.Bool()
+	rep.Resp.Err = c.Str()
+	rep.Resp.Payload = ownPayload(c.Bytes())
+	return wireErr(c.Finish())
+}
+
+// ownPayload copies a payload out of the reused frame buffer. Binary body
+// decoders alias their input, so every payload the TCP reader hands over
+// owns its bytes.
+func ownPayload(p []byte) []byte {
+	if len(p) == 0 {
+		return nil
 	}
-	return c.err
+	return append([]byte(nil), p...)
+}
+
+func wireErr(err error) error {
+	if err != nil {
+		return fmt.Errorf("transport: wire frame: %w", err)
+	}
+	return nil
 }

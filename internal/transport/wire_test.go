@@ -82,13 +82,13 @@ func TestWireSizeIsExact(t *testing.T) {
 	envs := append(sampleEnvelopes(), tcpEnvelope{ID: 1 << 40, From: "c", Req: Request{Payload: make([]byte, 300)}})
 	for _, env := range envs {
 		body := env.appendBody(nil)
-		if env.bodySize() != len(body) || wireSize(env) != len(appendWireBytes(nil, body)) {
+		if env.bodySize() != len(body) || wireSize(env) != len(AppendBytes(nil, body)) {
 			t.Fatalf("request %d: bodySize %d, wireSize %d; encoded body is %d bytes", env.ID, env.bodySize(), wireSize(env), len(body))
 		}
 	}
 	for _, rep := range append(sampleReplies(), tcpReply{ID: 1 << 20, Resp: Response{Payload: make([]byte, 200)}}) {
 		body := rep.appendBody(nil)
-		if rep.bodySize() != len(body) || wireSize(rep) != len(appendWireBytes(nil, body)) {
+		if rep.bodySize() != len(body) || wireSize(rep) != len(AppendBytes(nil, body)) {
 			t.Fatalf("reply %d: bodySize %d, wireSize %d; encoded body is %d bytes", rep.ID, rep.bodySize(), wireSize(rep), len(body))
 		}
 	}

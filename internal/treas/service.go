@@ -57,7 +57,7 @@ type listEntry struct {
 	ValueLen int
 }
 
-// Wire bodies.
+// Wire bodies (binary encodings in codec.go).
 type (
 	tagResp struct {
 		Tag tag.Tag
@@ -264,6 +264,10 @@ func (st *objState) handlePutData(payload []byte) (any, error) {
 	if err := transport.Unmarshal(payload, &req); err != nil {
 		return nil, err
 	}
+	// req.Elem aliases payload and is stored as is: every payload a
+	// handler sees owns its bytes (the TCP reader and WAL replay copy, the
+	// simulated network shares a sender's slice that nothing writes again),
+	// and a stored element is never written in place.
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.insertLocked(req.Tag, req.Elem, req.ValueLen)
