@@ -20,12 +20,18 @@ import (
 // internal/treas and internal/recon).
 
 // The budgets. Before binary bodies the same rows measured: ABD Get 4 770 B,
-// Put 4 989 B; TREAS Get 5.0140× and Put 1.6793× the value.
+// Put 4 989 B; TREAS Get 5.0140× and Put 1.6793× the value. Before the read
+// floor a warmed TREAS Get measured 5.0009×, as a cold one still does: each
+// of its five list replies carries every element the server holds (three
+// of |v|/k after three writes), where a warmed reader's carry one.
 const (
-	abdGetBudget   = 3136 // B; 18 messages: read-config, query, read-config
-	abdPutBudget   = 3136 // B; 24 messages: read-config, query-tag, write, read-config
-	treasGetBudget = 5.001
-	treasPutBudget = 1.667
+	abdGetBudget       = 3136 // B; 18 messages: read-config, query, read-config
+	abdPutBudget       = 3136 // B; 24 messages: read-config, query-tag, write, read-config
+	treasGetBudget     = 1.6671
+	treasColdGetBudget = 5.0009
+	treasPutBudget     = 1.667
+	treasGetMsgs       = 30 // read-config, query-list, read-config to 5 servers
+	treasPutMsgs       = 40 // read-config, query-tag, put-data, read-config
 )
 
 // opCost is the traffic of one operation, and how many of its bodies took
@@ -57,7 +63,9 @@ func gobFallbacks() int64 {
 
 // steadyOps builds a zero-delay cluster on c0, warms one client with three
 // write/read pairs of value, and measures one more Get and one more Put.
-func steadyOps(t *testing.T, c0 ares.Config, value ares.Value) (get, put opCost) {
+// cold is the first Get of a second client that has done nothing yet, taken
+// between the two: a TREAS reader without a floor, which fetches whole Lists.
+func steadyOps(t *testing.T, c0 ares.Config, value ares.Value) (get, put, cold opCost) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -80,21 +88,27 @@ func steadyOps(t *testing.T, c0 ares.Config, value ares.Value) (get, put opCost)
 		}
 	}
 	get = measureOp(t, net, func() error { _, err := client.ReadValue(ctx); return err })
+	fresh, err := cluster.NewClient("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold = measureOp(t, net, func() error { _, err := fresh.ReadValue(ctx); return err })
 	put = measureOp(t, net, func() error { return client.WriteValue(ctx, value) })
-	for _, c := range []opCost{get, put} {
+	for _, c := range []opCost{get, put, cold} {
 		if c.gob != 0 {
 			t.Errorf("%d bodies took the gob fallback in one steady op", c.gob)
 		}
 	}
-	return get, put
+	return get, put, cold
 }
 
 // TestBudget pins the steady per-op rows: ABD n=3 with a 1 KiB value in
 // bytes and messages, TREAS [5,3] δ=4 with a 256 KiB value in bytes per
-// value byte. No steady op may send a body through the gob fallback.
+// value byte and messages, for a warmed client and for a cold reader. No
+// steady op may send a body through the gob fallback.
 func TestBudget(t *testing.T) {
 	t.Run("abd-n3-1KiB", func(t *testing.T) {
-		get, put := steadyOps(t, ares.Config{
+		get, put, _ := steadyOps(t, ares.Config{
 			ID: "c0", Algorithm: ares.ABD, Servers: []ares.ProcessID{"s1", "s2", "s3"},
 		}, make(ares.Value, 1<<10))
 		t.Logf("Get %d B in %d messages; Put %d B in %d messages", get.bytes, get.msgs, put.bytes, put.msgs)
@@ -108,16 +122,26 @@ func TestBudget(t *testing.T) {
 
 	t.Run("treas-5-3-d4-256KiB", func(t *testing.T) {
 		value := make(ares.Value, 256<<10)
-		get, put := steadyOps(t, ares.Config{
+		get, put, cold := steadyOps(t, ares.Config{
 			ID: "c0", Algorithm: ares.TREAS, K: 3, Delta: 4,
 			Servers: []ares.ProcessID{"s1", "s2", "s3", "s4", "s5"},
 		}, value)
-		getX := float64(get.bytes) / float64(len(value))
-		putX := float64(put.bytes) / float64(len(value))
-		t.Logf("Get %d B (%.4f× the value) in %d messages; Put %d B (%.4f×) in %d messages",
-			get.bytes, getX, get.msgs, put.bytes, putX, put.msgs)
-		if getX > treasGetBudget || putX > treasPutBudget {
-			t.Errorf("Get %.4f×, Put %.4f× the value; budget %.3f× and %.3f×", getX, putX, treasGetBudget, treasPutBudget)
+		x := func(c opCost) float64 { return float64(c.bytes) / float64(len(value)) }
+		t.Logf("Get %d B (%.5f× the value) in %d messages; Put %d B (%.5f×) in %d messages; cold Get %d B (%.5f×) in %d messages",
+			get.bytes, x(get), get.msgs, put.bytes, x(put), put.msgs, cold.bytes, x(cold), cold.msgs)
+		for _, row := range []struct {
+			name   string
+			c      opCost
+			budget float64
+			msgs   int64
+		}{
+			{"Get", get, treasGetBudget, treasGetMsgs},
+			{"Put", put, treasPutBudget, treasPutMsgs},
+			{"cold Get", cold, treasColdGetBudget, treasGetMsgs},
+		} {
+			if x(row.c) > row.budget || row.c.msgs != row.msgs {
+				t.Errorf("%s: %.5f× the value in %d messages; budget %.4f× in %d", row.name, x(row.c), row.c.msgs, row.budget, row.msgs)
+			}
 		}
 	})
 }

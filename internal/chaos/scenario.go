@@ -212,6 +212,21 @@ func Matrix() []Scenario {
 			},
 		},
 		{
+			Name: "treas-delta-writers",
+			Description: "a TREAS [7,3] δ=2 register under three concurrent writers and two readers, each reusing one client so its read floor " +
+				"rises with every put-data and confirmed read, while k−1 = 2 servers crash mid-run; filtered list reads must stay atomic",
+			Template: treasTemplate("tdw", 7, 3, 2),
+			Keys:     2, Writers: 3, Readers: 2,
+			Duration: 800 * time.Millisecond,
+			Delay:    transport.DelayRange{Max: time.Millisecond},
+			Schedule: func(env Env) Schedule {
+				return Schedule{
+					{At: 250 * time.Millisecond, Kind: EvCrash, Target: env.Servers[1]},
+					{At: 400 * time.Millisecond, Kind: EvCrash, Target: env.Servers[4]},
+				}
+			},
+		},
+		{
 			Name:        "keyed-1k-partition-reconfig",
 			Description: "1000 independent keys routed through one keyed service stack while a minority partition opens and heals and 16 keys walk a reconfiguration; every key gets its own linearizability verdict",
 			Template:    abdTemplate("k1k", 5),

@@ -9,9 +9,10 @@ import (
 
 // Cache memoizes per-configuration DAP clients for one transport endpoint.
 //
-// DAP clients are immutable once built and safe for concurrent use, but
-// building one is not free — a TREAS client constructs its [n, k] erasure
-// matrix. Without caching, every phase of every operation (get-tag, get-data,
+// DAP clients are safe for concurrent use, but building one is not free — a
+// TREAS client constructs its [n, k] erasure matrix. A cached client is
+// also where a TREAS reader keeps its monotone read floor, the tag its
+// get-data sends so servers leave out older List entries. Without caching, every phase of every operation (get-tag, get-data,
 // put-data on each configuration in [µ, ν]) rebuilds the client. A Cache
 // makes construction once-per-configuration: Get returns the memoized client
 // until the configuration is invalidated.
@@ -21,7 +22,9 @@ import (
 // so once the local sequence's µ moves past a configuration it is dead to
 // this process and its entry is dropped (Retain). The sequence itself only
 // grows, so IDs never get reused with different membership — a hit is always
-// safe.
+// safe. Dropping or rebuilding a TREAS client loses its floor; the next
+// client starts from tag.Zero and fetches whole Lists once, so that costs
+// bytes, never correctness.
 type Cache struct {
 	reg *Registry
 	rpc transport.Client
@@ -48,8 +51,8 @@ func (cc *Cache) Get(c cfg.Configuration) (Client, error) {
 	cc.mu.Unlock()
 
 	// Build outside the lock: construction can be expensive and two racing
-	// builders are harmless (clients are stateless; the first one stored
-	// wins and the loser's build is discarded).
+	// builders are harmless (the first one stored wins and the loser's build
+	// is discarded before any use, so no floor is lost).
 	cl, err := cc.reg.New(c, cc.rpc)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/dap"
@@ -21,10 +22,18 @@ import (
 var ErrNotDecodable = errors.New("treas: highest witnessed tag not yet decodable")
 
 // Client implements dap.Client with the TREAS protocols of Alg. 2.
+//
+// A Client carries one piece of state across operations: its read floor
+// (see Floor), which only rises. Every get-data sends it, and servers leave
+// out every list entry below it, so a warmed reader fetches the elements of
+// the tags that can still decide its read and nothing older.
 type Client struct {
 	cfg  cfg.Configuration
 	rpc  transport.Client
 	code *erasure.Code
+
+	mu    sync.Mutex
+	floor tag.Tag
 }
 
 // NewClient builds the TREAS DAP client for configuration c.
@@ -82,43 +91,80 @@ func (c *Client) GetData(ctx context.Context) (tag.Pair, error) {
 // 2q − n ≥ k servers, so every later get-data quorum finds at least k
 // elements of this tag (or of a larger one — element lists are
 // tag-monotone) and can decode it.
+//
+// The query carries the client's floor, and servers omit every entry
+// below it; decide sees every tag at or above the floor exactly as an
+// unfiltered read would, so the outcome is the same (see decide).
 func (c *Client) GetDataConfirmed(ctx context.Context) (tag.Pair, bool, error) {
 	q := c.cfg.Quorum()
 	got, err := transport.Broadcast(ctx, c.rpc, c.cfg.Servers,
-		transport.Phase[listResp]{Service: ServiceName, Key: c.cfg.Key, Config: string(c.cfg.ID), Type: msgQueryList, Body: struct{}{}},
+		transport.Phase[listResp]{Service: ServiceName, Key: c.cfg.Key, Config: string(c.cfg.ID), Type: msgQueryList, Body: listReq{Floor: c.Floor()}},
 		transport.AtLeast[listResp](q.Size()),
 	)
 	if err != nil {
 		return tag.Pair{}, false, fmt.Errorf("treas: get-data on %s: %w", c.cfg.ID, err)
 	}
+	lists := make([]listResp, len(got))
+	for i, g := range got {
+		lists[i] = g.Value
+	}
+	d, err := decide(lists, c.cfg.K, q.Size())
+	if err != nil {
+		return tag.Pair{}, false, fmt.Errorf("%w on %s", err, c.cfg.ID)
+	}
+	value, err := c.code.Decode(d.elems, d.valueLen)
+	if err != nil {
+		return tag.Pair{}, false, fmt.Errorf("treas: get-data decode on %s: %w", c.cfg.ID, err)
+	}
+	if d.confirmed {
+		c.raiseFloor(d.tag)
+	}
+	return tag.Pair{Tag: d.tag, Value: value}, d.confirmed, nil
+}
 
-	// Count, per tag: in how many lists it appears, and in how many it
-	// appears with a coded element. Collect elements by shard index.
+// decision is Alg. 2's get-data verdict over one gathered quorum of lists:
+// the tag to return (t*max = tdecmax), the coded elements that decode it,
+// and whether every list of a quorum carried its element.
+type decision struct {
+	tag       tag.Tag
+	valueLen  int
+	elems     map[int][]byte
+	confirmed bool
+}
+
+// decide applies Alg. 2 get-data lines 11–17 to the lists gathered from
+// distinct servers: t*max is the highest tag appearing in at least k lists,
+// tdecmax the highest with coded elements in at least k, and the read
+// returns only when they coincide; it is confirmed when that tag's element
+// is in at least q lists. Otherwise it reports ErrNotDecodable.
+//
+// Every count decide takes is per tag, and the maxima look only upward. So
+// dropping every entry below some floor f changes nothing for tags ≥ f: if
+// the unfiltered t*max and tdecmax are both ≥ f the decision is identical,
+// and otherwise the filtered lists have no candidate and decide reports
+// ErrNotDecodable. A floor the client knows a full quorum's lists hold is
+// in ≥ 2q − n ≥ k lists of every later quorum, so the unfiltered t*max is
+// ≥ f and the filtered decision is the unfiltered one (DESIGN.md, "Read
+// floor").
+func decide(lists []listResp, k, q int) (decision, error) {
 	type tagInfo struct {
-		seen     int
-		withElem int
-		valueLen int
-		elems    map[int][]byte
+		seen, withElem int
 	}
 	info := make(map[tag.Tag]*tagInfo)
-	for _, g := range got {
-		for _, e := range g.Value.Entries {
+	for _, l := range lists {
+		for _, e := range l.Entries {
 			ti, ok := info[e.Tag]
 			if !ok {
-				ti = &tagInfo{elems: make(map[int][]byte)}
+				ti = &tagInfo{}
 				info[e.Tag] = ti
 			}
 			ti.seen++
 			if e.HasElem {
 				ti.withElem++
-				ti.valueLen = e.ValueLen
-				ti.elems[g.Value.Index] = e.Elem
 			}
 		}
 	}
-
-	k := c.cfg.K
-	tStarMax, tDecMax := tag.Tag{}, tag.Tag{}
+	var tStarMax, tDecMax tag.Tag
 	foundStar, foundDec := false, false
 	for t, ti := range info {
 		if ti.seen >= k && (!foundStar || tStarMax.Less(t)) {
@@ -132,17 +178,22 @@ func (c *Client) GetDataConfirmed(ctx context.Context) (tag.Pair, bool, error) {
 		// Concurrent writes beyond δ can garbage-collect every common
 		// decodable tag out of this quorum's lists. The paper's read simply
 		// does not complete yet — report the retryable condition.
-		return tag.Pair{}, false, fmt.Errorf("%w: no tag decodable from %d lists on %s", ErrNotDecodable, k, c.cfg.ID)
+		return decision{}, fmt.Errorf("%w: no tag decodable from %d lists", ErrNotDecodable, k)
 	}
 	if tStarMax != tDecMax {
-		return tag.Pair{}, false, fmt.Errorf("%w: t*max=%v tdecmax=%v on %s", ErrNotDecodable, tStarMax, tDecMax, c.cfg.ID)
+		return decision{}, fmt.Errorf("%w: t*max=%v tdecmax=%v", ErrNotDecodable, tStarMax, tDecMax)
 	}
-	ti := info[tDecMax]
-	value, err := c.code.Decode(ti.elems, ti.valueLen)
-	if err != nil {
-		return tag.Pair{}, false, fmt.Errorf("treas: get-data decode on %s: %w", c.cfg.ID, err)
+	d := decision{tag: tDecMax, elems: make(map[int][]byte, info[tDecMax].withElem)}
+	for _, l := range lists {
+		for _, e := range l.Entries {
+			if e.Tag == tDecMax && e.HasElem {
+				d.valueLen = e.ValueLen
+				d.elems[l.Index] = e.Elem
+			}
+		}
 	}
-	return tag.Pair{Tag: tDecMax, Value: value}, ti.withElem >= q.Size(), nil
+	d.confirmed = info[tDecMax].withElem >= q
+	return d, nil
 }
 
 // PutData encodes the value and sends each server its coded element,
@@ -171,5 +222,26 @@ func (c *Client) PutData(ctx context.Context, p tag.Pair) error {
 	if err != nil {
 		return fmt.Errorf("treas: put-data on %s: %w", c.cfg.ID, err)
 	}
+	c.raiseFloor(p.Tag)
 	return nil
+}
+
+// Floor returns the client's read floor: the highest tag it knows a full
+// ⌈(n+k)/2⌉ quorum of this configuration's lists to hold.
+func (c *Client) Floor() tag.Tag {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.floor
+}
+
+// raiseFloor lifts the floor to t, never lowering it. Callers pass only a
+// tag a full quorum's lists hold: one a put-data wrote to a quorum, or one
+// a confirmed read saw with elements in a quorum. Tags never leave a live
+// List (garbage collection nulls elements only), so the floor stays held.
+func (c *Client) raiseFloor(t tag.Tag) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.floor.Less(t) {
+		c.floor = t
+	}
 }

@@ -27,6 +27,16 @@ func (r *tagResp) DecodeBody(b []byte) error {
 	return c.Finish()
 }
 
+func (r listReq) BodySize() int { return r.Floor.BodySize() }
+
+func (r listReq) AppendBody(b []byte) []byte { return r.Floor.AppendBody(b) }
+
+func (r *listReq) DecodeBody(b []byte) error {
+	c := transport.NewCursor(b)
+	r.Floor = tag.Decode(&c)
+	return c.Finish()
+}
+
 func (e listEntry) size() int {
 	n := e.Tag.BodySize() + 1 + transport.VarintSize(int64(e.ValueLen))
 	if e.HasElem {

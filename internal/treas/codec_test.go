@@ -15,6 +15,7 @@ var bodyKinds = []func() bodytest.Body{
 	func() bodytest.Body { return new(listResp) },
 	func() bodytest.Body { return new(putDataReq) },
 	func() bodytest.Body { return new(objSnap) },
+	func() bodytest.Body { return new(listReq) },
 }
 
 // sampleEntries is a List as a server holds it: the initial tag's element,
@@ -35,6 +36,7 @@ func bodySamples() [][]bodytest.Body {
 		{&listResp{}, &listResp{Index: 4, Entries: sampleEntries()}},
 		{&putDataReq{}, &putDataReq{Tag: w, Elem: bytes.Repeat([]byte{1}, 512), ValueLen: 1500}},
 		{&objSnap{}, &objSnap{Entries: sampleEntries()}},
+		{&listReq{}, &listReq{Floor: w}},
 	}
 }
 
@@ -65,6 +67,7 @@ func TestBudgetBodyAllocs(t *testing.T) {
 		{0, &tagResp{Tag: w}, 1, 2},
 		{1, &listResp{Index: 4, Entries: sampleEntries()}, 1, 4},
 		{2, &putDataReq{Tag: w, Elem: make([]byte, 512), ValueLen: 1500}, 1, 2},
+		{4, &listReq{Floor: w}, 1, 2},
 	} {
 		enc, dec := bodytest.Allocs(t, tc.v, bodyKinds[tc.kind])
 		t.Logf("%T: %.0f allocs to encode, %.0f to decode", tc.v, enc, dec)

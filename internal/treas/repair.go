@@ -45,7 +45,7 @@ func Repair(ctx context.Context, rpc transport.Client, c cfg.Configuration, targ
 	// 1a. Ask the target what it already holds (it must be reachable — a
 	// crashed server cannot be repaired, only reconfigured away).
 	targetList, err := transport.InvokeTyped[listResp](ctx, rpc, target,
-		transport.Addr{Service: ServiceName, Key: c.Key, Config: string(c.ID), Type: msgQueryList}, struct{}{})
+		transport.Addr{Service: ServiceName, Key: c.Key, Config: string(c.ID), Type: msgQueryList}, listReq{})
 	if err != nil {
 		return 0, fmt.Errorf("treas: repair target %s unreachable: %w", target, err)
 	}
@@ -59,7 +59,7 @@ func Repair(ctx context.Context, rpc transport.Client, c cfg.Configuration, targ
 	// 1b. Collect lists from a quorum (the donors).
 	q := c.Quorum()
 	got, err := transport.Broadcast(ctx, rpc, c.Servers,
-		transport.Phase[listResp]{Service: ServiceName, Key: c.Key, Config: string(c.ID), Type: msgQueryList, Body: struct{}{}},
+		transport.Phase[listResp]{Service: ServiceName, Key: c.Key, Config: string(c.ID), Type: msgQueryList, Body: listReq{}},
 		transport.AtLeast[listResp](q.Size()),
 	)
 	if err != nil {

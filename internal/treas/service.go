@@ -8,6 +8,15 @@
 // servers, which makes a tag written to one quorum decodable by every later
 // reader quorum (Lemma 5).
 //
+// A read fetches only what can decide it. Each Client keeps a monotone
+// read floor, the highest tag it knows a full quorum's lists hold (from its
+// own completed put-data or confirmed get-data), and query-list carries it.
+// Servers answer with the List entries at or above the floor. Since tags
+// never leave a live List, the floor is in at least k lists of every later
+// quorum, so Alg. 2's maxima and the fast-path confirmation come out as
+// they would over whole Lists, while a warmed reader receives one coded
+// element per server instead of δ+1.
+//
 // A node hosts a single Service for the whole keyspace: each (key, config)
 // object is one lazily-created entry in a striped-lock map, materialized by
 // the first message that names the pair (no per-key installation). Erasure
@@ -61,6 +70,11 @@ type listEntry struct {
 type (
 	tagResp struct {
 		Tag tag.Tag
+	}
+	// listReq asks for the entries of a List at or above Floor, a tag the
+	// reader knows a full quorum's lists hold (tag.Zero asks for them all).
+	listReq struct {
+		Floor tag.Tag
 	}
 	listResp struct {
 		// Index is the responding server's shard index within the
@@ -209,7 +223,11 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 	case msgQueryTag:
 		return st.handleQueryTag()
 	case msgQueryList:
-		return st.handleQueryList()
+		var req listReq
+		if err := transport.Unmarshal(payload, &req); err != nil {
+			return nil, err
+		}
+		return st.handleQueryList(req.Floor)
 	case msgPutData:
 		release, err := s.journalOp(key, configID, opPutData, payload)
 		if err != nil {
@@ -244,13 +262,19 @@ func (st *objState) handleQueryTag() (any, error) {
 	return tagResp{Tag: max}, nil
 }
 
-// handleQueryList returns the whole List (Alg. 3 QUERY-LIST).
-func (st *objState) handleQueryList() (any, error) {
+// handleQueryList returns the List's entries with tags at or above floor
+// (Alg. 3 QUERY-LIST; tag.Zero returns the whole List). An entry below the
+// floor is left out entirely, bare tag included: it cannot decide the read,
+// since the floor itself is in at least k of any reader quorum's lists and
+// Alg. 2 takes maxima over tags (see decide in client.go).
+func (st *objState) handleQueryList(floor tag.Tag) (any, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	entries := make([]listEntry, 0, len(st.list))
-	for _, e := range st.list {
-		entries = append(entries, e)
+	for t, e := range st.list {
+		if floor.LessEq(t) {
+			entries = append(entries, e)
+		}
 	}
 	// Deterministic order for reproducible wire traffic and tests.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Tag.Less(entries[j].Tag) })
