@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/dap"
@@ -66,44 +65,33 @@ type register struct {
 // are created on first touch after resolving the addressed configuration and
 // checking this server's membership.
 type Service struct {
-	self   types.ProcessID
-	cfgs   cfg.Source
-	states *keystate.Map[*register]
-	// journal, when attached, write-ahead-logs every mutation before it
-	// applies (see durable.go); nil for in-memory operation.
-	journal atomic.Pointer[keystate.Journal]
+	// states journals every mutation before it applies once durability
+	// attaches a journal (see durable.go).
+	states *keystate.Family[*register]
 }
 
 // NewService returns the node-wide ABD store for server self. cfgs resolves
 // the configurations messages address; state for unresolvable or non-member
 // configurations is never created.
 func NewService(self types.ProcessID, cfgs cfg.Source) *Service {
-	return &Service{
-		self:   self,
-		cfgs:   cfgs,
-		states: keystate.New[*register](keystate.DefaultShards),
-	}
+	return &Service{states: keystate.NewFamily(ServiceName, self, cfgs,
+		func(c cfg.Configuration, _ int) (*register, error) {
+			if c.Algorithm != cfg.ABD {
+				return nil, fmt.Errorf("abd: configuration %s uses algorithm %q", c.ID, c.Algorithm)
+			}
+			return &register{}, nil
+		})}
 }
 
 var _ node.KeyedService = (*Service)(nil)
 
-// state returns (creating on first touch) the register for (key, configID).
-func (s *Service) state(key, configID string) (*register, error) {
-	return keystate.Materialize(s.states, s.cfgs, ServiceName, s.self, key, configID,
-		func(c cfg.Configuration) (*register, error) {
-			if c.Algorithm != cfg.ABD {
-				return nil, fmt.Errorf("abd: configuration %s uses algorithm %q", c.ID, c.Algorithm)
-			}
-			if _, ok := c.ServerIndex(s.self); !ok {
-				return nil, fmt.Errorf("abd: server %s is not a member of %s", s.self, c.ID)
-			}
-			return &register{}, nil
-		})
-}
+// Family returns the service's per-(key, config) registers, for the host's
+// durability and retirement wiring.
+func (s *Service) Family() *keystate.Family[*register] { return s.states }
 
 // HandleKeyed implements node.KeyedService.
 func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, payload []byte) (any, error) {
-	st, err := s.state(key, configID)
+	st, err := s.states.State(key, configID)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +112,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		if err := transport.Unmarshal(payload, &req); err != nil {
 			return nil, err
 		}
-		release, err := s.journalWrite(key, configID, payload)
+		release, err := s.states.Journal(key, configID, opWrite, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -150,22 +138,10 @@ func (s *Service) StorageBytes() int {
 	return total
 }
 
-// States reports how many (key, config) registers have been materialized
-// (for tests asserting lazy creation and O(1)-in-keys service hosting).
-func (s *Service) States() int { return s.states.Len() }
-
-// RetireConfig drops the register for (key, configID), reporting whether one
-// existed. The lifecycle GC calls it once the configuration's finalized
-// successor proves it quiescent; the caller's resolver tombstone keeps the
-// pair from rematerializing.
-func (s *Service) RetireConfig(key, configID string) bool {
-	return s.states.Delete(keystate.Ref{Key: key, Config: configID})
-}
-
 // Current returns the stored pair of one register (for tests and
 // introspection). The bool reports whether the register exists.
 func (s *Service) Current(key, configID string) (tag.Pair, bool) {
-	st, ok := s.states.Get(keystate.Ref{Key: key, Config: configID})
+	st, ok := s.states.Get(key, configID)
 	if !ok {
 		return tag.Pair{}, false
 	}

@@ -226,8 +226,8 @@ func TestServiceUnknownConfig(t *testing.T) {
 	if !errors.Is(err, cfg.ErrUnknownConfig) {
 		t.Fatalf("mismatched key err = %v, want ErrUnknownConfig", err)
 	}
-	if svc.States() != 0 {
-		t.Fatalf("rejected messages materialized %d states", svc.States())
+	if svc.Family().Len() != 0 {
+		t.Fatalf("rejected messages materialized %d states", svc.Family().Len())
 	}
 }
 
@@ -263,7 +263,7 @@ func TestPerKeyIsolation(t *testing.T) {
 	}
 	write("a", "store/a/c0", "va", 7)
 	write("b", "store/b/c0", "vb", 3)
-	if got := svc.States(); got != 2 {
+	if got := svc.Family().Len(); got != 2 {
 		t.Fatalf("States = %d, want 2", got)
 	}
 	pa, _ := svc.Current("a", "store/a/c0")

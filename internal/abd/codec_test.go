@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/ares-storage/ares/internal/tag"
+	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/transport/bodytest"
 )
 
@@ -55,6 +56,37 @@ func TestBudgetBodyAllocs(t *testing.T) {
 		t.Logf("%T: %.0f allocs to encode, %.0f to decode", tc.v, enc, dec)
 		if enc > tc.enc || dec > tc.dec {
 			t.Errorf("%T: %.0f allocs to encode, %.0f to decode; budget %.0f and %.0f", tc.v, enc, dec, tc.enc, tc.dec)
+		}
+	}
+}
+
+// TestBudgetHandlerAllocs pins the allocations of one HandleKeyed call per
+// data-path message on an already materialized register (no journal): the
+// steady server path every Get and Put pays.
+func TestBudgetHandlerAllocs(t *testing.T) {
+	svc, configID := soloService()
+	write, err := transport.Marshal(writeReq{Tag: tag.Tag{Z: 1, W: "w"}, Value: make([]byte, 1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		msgType string
+		payload []byte
+		allocs  float64
+	}{
+		{msgQueryTag, nil, 1},
+		{msgQuery, nil, 1},
+		{msgWrite, write, 1},
+	} {
+		if _, err := svc.HandleKeyed("c", "", configID, tc.msgType, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			_, _ = svc.HandleKeyed("c", "", configID, tc.msgType, tc.payload)
+		})
+		t.Logf("%s: %.2f allocs", tc.msgType, got)
+		if got > tc.allocs {
+			t.Errorf("%s: %.2f allocs per HandleKeyed, budget %.0f", tc.msgType, got, tc.allocs)
 		}
 	}
 }

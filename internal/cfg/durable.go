@@ -3,7 +3,10 @@ package cfg
 // Durability support: the resolver's contents — concrete configurations,
 // templates, tombstones, per-key successors — are the meta state a durable
 // host snapshots and restores. Export/Import move that state in bulk; the
-// encoding (gob, via the host's meta hooks) stays out of this package.
+// host's meta hooks (core's hostMeta, a keystate.DurableMeta) encode it as
+// the meta snapshot blob, with gob, and replay the meta log's install and
+// retire records through Add and Retire. Per-(key, config) service state
+// is not here: each keyed service keeps it in a keystate.Family.
 
 // ResolverState is the serializable snapshot of a Resolver. Tombstones are
 // exported as the same compact 64-bit hashes they are stored as — the

@@ -84,6 +84,9 @@ func TestChaosMatrix(t *testing.T) {
 				t.Errorf("scenario %s seed %d: lifecycle GC bound blown: %d retained states across %d keys (bound %d per key, %d retired); replay: %s",
 					sc.Name, seed, v.ServerStates, sc.Keys, sc.MaxStatesPerKey, v.RetiredStates, v.Replay())
 			}
+			if v.Snapshots > 0 && v.SnapshotStatesRestored == 0 {
+				t.Errorf("scenario %s seed %d: %d snapshots taken but no restart restored a snapshot state", sc.Name, seed, v.Snapshots)
+			}
 			if sc.MaxStatesPerKey > 0 && v.RetiredStates == 0 && v.Reconfigs > 0 {
 				t.Errorf("scenario %s seed %d: %d reconfigs completed but no state was retired — GC never fired", sc.Name, seed, v.Reconfigs)
 			}
@@ -261,6 +264,24 @@ func TestScheduleAppliesAgainstNetwork(t *testing.T) {
 		t.Fatal("a → b should be blocked")
 	}
 	close(stop)
+}
+
+// TestSnapshotWithoutHookRefused: an EvSnapshot against a fabric that
+// cannot snapshot fails loudly instead of passing as a no-op.
+func TestSnapshotWithoutHookRefused(t *testing.T) {
+	t.Parallel()
+	ev := Event{Kind: EvSnapshot, Target: "s1"}
+	if err := ev.apply(Fabric{Net: transport.NewSimnet()}); err == nil {
+		t.Fatal("EvSnapshot without a snapshot hook must error")
+	}
+	var got []types.ProcessID
+	hook := Fabric{Net: transport.NewSimnet(), Snapshot: func(id types.ProcessID) error {
+		got = append(got, id)
+		return nil
+	}}
+	if err := ev.apply(hook); err != nil || len(got) != 1 || got[0] != "s1" {
+		t.Fatalf("EvSnapshot with a hook: err %v, snapshotted %v", err, got)
+	}
 }
 
 // TestRestartWithoutHookRefused pins EvRestart's honesty contract: without a

@@ -64,10 +64,15 @@ type Verdict struct {
 	// StateBoundExceeded is set when the scenario declares MaxStatesPerKey
 	// and the retained states blow it — a GC regression, reported as a
 	// failed verdict alongside linearizability.
-	ServerStates       int          `json:"server_states"`
-	RetiredStates      int64        `json:"retired_states"`
-	StateBoundExceeded bool         `json:"state_bound_exceeded,omitempty"`
-	Keys               []KeyVerdict `json:"keys"`
+	ServerStates       int   `json:"server_states"`
+	RetiredStates      int64 `json:"retired_states"`
+	StateBoundExceeded bool  `json:"state_bound_exceeded,omitempty"`
+	// Snapshots counts the EvSnapshot events that completed, and
+	// SnapshotStatesRestored the state blobs every EvRestart's recovery
+	// read back from those snapshots.
+	Snapshots              int          `json:"snapshots,omitempty"`
+	SnapshotStatesRestored int          `json:"snapshot_states_restored,omitempty"`
+	Keys                   []KeyVerdict `json:"keys"`
 }
 
 // Replay renders the command that reproduces this run's adversarial
@@ -163,11 +168,26 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 			cluster.AddHost(s)
 		}
 	}
+	var snapshots, restoredStates atomic.Int64
 	fabric := Fabric{
 		Net: net,
 		Restart: func(id types.ProcessID) error {
-			_, err := cluster.RestartHost(id)
+			h, err := cluster.RestartHost(id)
+			if err == nil && h.Durability() != nil {
+				restoredStates.Add(int64(h.Durability().Stats().SnapshotStates))
+			}
 			return err
+		},
+		Snapshot: func(id types.ProcessID) error {
+			h, ok := cluster.Host(id)
+			if !ok || h.Durability() == nil {
+				return fmt.Errorf("chaos: %s has no durability layer to snapshot", id)
+			}
+			if err := h.Durability().Snapshot(); err != nil {
+				return err
+			}
+			snapshots.Add(1)
+			return nil
 		},
 	}
 
@@ -376,17 +396,19 @@ func Run(sc Scenario, opt Options) (Verdict, error) {
 	}
 
 	verdict := Verdict{
-		Scenario:       sc.Name,
-		Description:    sc.Description,
-		Seed:           seed,
-		Stretch:        stretch,
-		DurationMS:     time.Since(start).Milliseconds(),
-		OpErrors:       int(opErrs.Load()),
-		Reconfigs:      int(reconfigs.Load()),
-		ReconfigErrors: int(reconfigErrs.Load()),
-		Linearizable:   true,
-		ServerStates:   states,
-		RetiredStates:  cluster.RetiredStates(),
+		Scenario:               sc.Name,
+		Description:            sc.Description,
+		Seed:                   seed,
+		Stretch:                stretch,
+		DurationMS:             time.Since(start).Milliseconds(),
+		OpErrors:               int(opErrs.Load()),
+		Reconfigs:              int(reconfigs.Load()),
+		ReconfigErrors:         int(reconfigErrs.Load()),
+		Linearizable:           true,
+		ServerStates:           states,
+		RetiredStates:          cluster.RetiredStates(),
+		Snapshots:              int(snapshots.Load()),
+		SnapshotStatesRestored: int(restoredStates.Load()),
 	}
 	if sc.MaxStatesPerKey > 0 && states > sc.MaxStatesPerKey*keys {
 		verdict.StateBoundExceeded = true

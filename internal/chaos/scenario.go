@@ -157,10 +157,14 @@ func Matrix() []Scenario {
 			Delay:    transport.DelayRange{Max: time.Millisecond},
 			Schedule: func(env Env) Schedule {
 				victim := env.Servers[len(env.Servers)-1]
-				return Schedule{
-					{At: 250 * time.Millisecond, Kind: EvCrash, Target: victim},
-					{At: 500 * time.Millisecond, Kind: EvRestart, Target: victim},
+				var s Schedule
+				for _, srv := range env.Servers {
+					s = append(s, Event{At: 200 * time.Millisecond, Kind: EvSnapshot, Target: srv})
 				}
+				return append(s,
+					Event{At: 250 * time.Millisecond, Kind: EvCrash, Target: victim},
+					Event{At: 500 * time.Millisecond, Kind: EvRestart, Target: victim},
+				)
 			},
 		},
 		{

@@ -53,6 +53,11 @@ const (
 	// This is the old EvRestart behavior, kept for amnesia-free scenarios;
 	// it says nothing about durability.
 	EvRestartPreserveState EventKind = "restart-preserve-state"
+	// EvSnapshot has Target write a full durability snapshot (meta plus
+	// every stripe) and compact its logs, so a later EvRestart recovers from
+	// snapshot + log tail rather than from the log alone. It requires a
+	// snapshot hook.
+	EvSnapshot EventKind = "snapshot"
 	// EvLinkFaults installs Faults on the one-way link From → To.
 	EvLinkFaults EventKind = "link-faults"
 	// EvDefaultFaults installs Faults on every link without an override.
@@ -75,7 +80,7 @@ type Event struct {
 	// From and To address a one-way link.
 	From types.ProcessID `json:"from,omitempty"`
 	To   types.ProcessID `json:"to,omitempty"`
-	// Target is the process of a crash/restart.
+	// Target is the process of a crash/restart/snapshot.
 	Target types.ProcessID `json:"target,omitempty"`
 	// Faults parameterizes link-faults and default-faults events.
 	Faults transport.LinkFaults `json:"faults,omitempty"`
@@ -93,6 +98,10 @@ type Fabric struct {
 	// cannot be honored (schedules against a bare network use
 	// EvRestartPreserveState instead).
 	Restart func(types.ProcessID) error
+	// Snapshot takes a durability snapshot of one server for an EvSnapshot:
+	// the runner wires it to the host's Durability().Snapshot(). Nil means
+	// EvSnapshot cannot be honored.
+	Snapshot func(types.ProcessID) error
 }
 
 // apply executes the mutation against the fabric.
@@ -122,6 +131,13 @@ func (e Event) apply(f Fabric) error {
 		net.Restart(e.Target)
 	case EvRestartPreserveState:
 		net.Restart(e.Target)
+	case EvSnapshot:
+		if f.Snapshot == nil {
+			return fmt.Errorf("chaos: EvSnapshot for %s needs a snapshot hook", e.Target)
+		}
+		if err := f.Snapshot(e.Target); err != nil {
+			return fmt.Errorf("chaos: snapshotting %s: %w", e.Target, err)
+		}
 	case EvLinkFaults:
 		net.SetLinkFaults(e.From, e.To, e.Faults)
 	case EvDefaultFaults:
@@ -141,7 +157,7 @@ func (e Event) String() string {
 		return fmt.Sprintf("t=%v %s %v | %v", e.At, e.Kind, e.A, e.B)
 	case EvBlockLink, EvUnblockLink:
 		return fmt.Sprintf("t=%v %s %s → %s", e.At, e.Kind, e.From, e.To)
-	case EvCrash, EvRestart, EvRestartPreserveState:
+	case EvCrash, EvRestart, EvRestartPreserveState, EvSnapshot:
 		return fmt.Sprintf("t=%v %s %s", e.At, e.Kind, e.Target)
 	case EvLinkFaults:
 		return fmt.Sprintf("t=%v %s %s → %s drop=%.2f dup=%.2f extra=[%v,%v]",

@@ -24,7 +24,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ares-storage/ares/internal/cfg"
@@ -115,40 +114,28 @@ type acceptor struct {
 
 // Service hosts every Paxos acceptor of one node.
 type Service struct {
-	self   types.ProcessID
-	cfgs   cfg.Source
-	states *keystate.Map[*acceptor]
-	// journal, when attached, write-ahead-logs prepare/accept/decide before
-	// they mutate (see durable.go); nil for in-memory operation.
-	journal atomic.Pointer[keystate.Journal]
+	// states journals prepare/accept/decide before they mutate once
+	// durability attaches a journal (see durable.go).
+	states *keystate.Family[*acceptor]
 }
 
 // NewService returns the node-wide acceptor service for server self; each
 // per-(key, config) instance starts fresh on first touch.
 func NewService(self types.ProcessID, cfgs cfg.Source) *Service {
-	return &Service{
-		self:   self,
-		cfgs:   cfgs,
-		states: keystate.New[*acceptor](keystate.DefaultShards),
-	}
+	return &Service{states: keystate.NewFamily(ServiceName, self, cfgs, func(cfg.Configuration, int) (*acceptor, error) {
+		return &acceptor{}, nil
+	})}
 }
 
 var _ node.KeyedService = (*Service)(nil)
 
-// state returns (creating on first touch) the acceptor for (key, configID).
-func (s *Service) state(key, configID string) (*acceptor, error) {
-	return keystate.Materialize(s.states, s.cfgs, ServiceName, s.self, key, configID,
-		func(c cfg.Configuration) (*acceptor, error) {
-			if _, ok := c.ServerIndex(s.self); !ok {
-				return nil, fmt.Errorf("consensus: server %s is not a member of %s", s.self, c.ID)
-			}
-			return &acceptor{}, nil
-		})
-}
+// Family returns the service's per-(key, config) acceptors, for the host's
+// durability and retirement wiring.
+func (s *Service) Family() *keystate.Family[*acceptor] { return s.states }
 
 // HandleKeyed implements node.KeyedService.
 func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, payload []byte) (any, error) {
-	st, err := s.state(key, configID)
+	st, err := s.states.State(key, configID)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +147,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		}
 		// The promise must be durable before the reply leaves: a re-started
 		// acceptor that forgot a promise could split a decision.
-		release, err := s.journalOp(key, configID, opPrepare, payload)
+		release, err := s.states.Journal(key, configID, opPrepare, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +158,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		if err := transport.Unmarshal(payload, &req); err != nil {
 			return nil, err
 		}
-		release, err := s.journalOp(key, configID, opAccept, payload)
+		release, err := s.states.Journal(key, configID, opAccept, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +169,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		if err := transport.Unmarshal(payload, &req); err != nil {
 			return nil, err
 		}
-		release, err := s.journalOp(key, configID, opDecide, payload)
+		release, err := s.states.Journal(key, configID, opDecide, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -245,23 +232,10 @@ func (st *acceptor) decide(value []byte) {
 	}
 }
 
-// States reports how many (key, config) acceptors have been materialized
-// (for tests).
-func (s *Service) States() int { return s.states.Len() }
-
-// RetireConfig drops the acceptor for (key, configID), reporting whether one
-// existed. Safe once the configuration's successor is finalized: the
-// instance's outcome is then durably recorded in the quorum's nextC pointers,
-// which never change after finalization (Lemma 46), so no future proposer
-// needs this acceptor's promises.
-func (s *Service) RetireConfig(key, configID string) bool {
-	return s.states.Delete(keystate.Ref{Key: key, Config: configID})
-}
-
 // Decided reports the learned outcome of the (key, configID) instance (for
 // tests). ok is false when the instance is undecided or not materialized.
 func (s *Service) Decided(key, configID string) (value []byte, ok bool) {
-	st, found := s.states.Get(keystate.Ref{Key: key, Config: configID})
+	st, found := s.states.Get(key, configID)
 	if !found {
 		return nil, false
 	}

@@ -43,7 +43,7 @@ func soloAcceptor(t *testing.T) (*Service, *acceptor) {
 	src := cfg.NewResolver()
 	src.Add(c)
 	svc := NewService("s1", src)
-	st, err := svc.state("", "solo")
+	st, err := svc.states.State("", "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,5 +302,37 @@ func TestSequentialInstancesIndependent(t *testing.T) {
 	}
 	if string(v0) != "for-c0" || string(v1) != "for-c1" {
 		t.Fatalf("instances interfered: %q %q", v0, v1)
+	}
+}
+
+// TestBudgetHandlerAllocs pins the allocations of one prepare and one accept
+// HandleKeyed call on an already materialized acceptor (no journal). Both
+// bodies still travel as gob, which sets the numbers.
+func TestBudgetHandlerAllocs(t *testing.T) {
+	svc, _ := soloAcceptor(t)
+	b := Ballot{Round: 1, Proposer: 1}
+	prepare, err := transport.Marshal(prepareReq{Ballot: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept, err := transport.Marshal(acceptReq{Ballot: b, Value: []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		msgType string
+		payload []byte
+		allocs  float64
+	}{
+		{msgPrepare, prepare, 173},
+		{msgAccept, accept, 179},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			_, _ = svc.HandleKeyed("c", "", "solo", tc.msgType, tc.payload)
+		})
+		t.Logf("%s: %.2f allocs", tc.msgType, got)
+		if got > tc.allocs {
+			t.Errorf("%s: %.2f allocs per HandleKeyed, budget %.0f", tc.msgType, got, tc.allocs)
+		}
 	}
 }

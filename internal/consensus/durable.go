@@ -6,12 +6,14 @@ package consensus
 // split a decision. Prepare, accept, and decide therefore all journal before
 // they mutate — and before the reply leaves the server. Replay re-runs the
 // same ballot-monotone transitions, so records and snapshots compose
-// idempotently.
+// idempotently. Retiring an acceptor is safe once its configuration's
+// successor is finalized: the instance's outcome is then recorded in the
+// quorum's nextC pointers, which never change after finalization (Lemma 46),
+// so no future proposer needs this acceptor's promises.
 
 import (
 	"fmt"
 
-	"github.com/ares-storage/ares/internal/keystate"
 	"github.com/ares-storage/ares/internal/transport"
 )
 
@@ -33,28 +35,8 @@ type acceptorSnap struct {
 	DecidedValue  []byte
 }
 
-var _ keystate.DurableService = (*Service)(nil)
-
-// DurableFamily implements keystate.DurableService.
-func (s *Service) DurableFamily() string { return ServiceName }
-
-// SetJournal attaches the write-ahead journal (nil = in-memory).
-func (s *Service) SetJournal(j *keystate.Journal) { s.journal.Store(j) }
-
-func (s *Service) journalOp(key, configID string, op byte, payload []byte) (func(), error) {
-	jr := s.journal.Load()
-	if jr == nil {
-		return func() {}, nil
-	}
-	return jr.Append(key, configID, op, payload)
-}
-
-// ReplayApply implements keystate.DurableService.
-func (s *Service) ReplayApply(key, configID string, op byte, payload []byte) error {
-	st, err := s.state(key, configID)
-	if err != nil {
-		return err
-	}
+// Replay implements keystate.State.
+func (st *acceptor) Replay(op byte, payload []byte) error {
 	switch op {
 	case opPrepare:
 		var req prepareReq
@@ -80,37 +62,24 @@ func (s *Service) ReplayApply(key, configID string, op byte, payload []byte) err
 	return nil
 }
 
-// SnapshotStates implements keystate.DurableService.
-func (s *Service) SnapshotStates(emit func(key, configID string, blob []byte) error) error {
-	var outerErr error
-	s.states.Range(func(ref keystate.Ref, st *acceptor) bool {
-		st.mu.Lock()
-		snap := acceptorSnap{
-			Promised: st.promised, HasPromised: st.hasPromised,
-			Accepted: st.accepted, HasAccepted: st.hasAccepted, AcceptedValue: st.acceptedValue,
-			Decided: st.decided, DecidedValue: st.decidedValue,
-		}
-		st.mu.Unlock()
-		blob, err := transport.Marshal(snap)
-		if err == nil {
-			err = emit(ref.Key, ref.Config, blob)
-		}
-		outerErr = err
-		return err == nil
-	})
-	return outerErr
+// Snapshot implements keystate.State.
+func (st *acceptor) Snapshot() ([]byte, error) {
+	st.mu.Lock()
+	snap := acceptorSnap{
+		Promised: st.promised, HasPromised: st.hasPromised,
+		Accepted: st.accepted, HasAccepted: st.hasAccepted, AcceptedValue: st.acceptedValue,
+		Decided: st.decided, DecidedValue: st.decidedValue,
+	}
+	st.mu.Unlock()
+	return transport.Marshal(snap)
 }
 
-// RestoreState implements keystate.DurableService. Each component merges
+// Restore implements keystate.State. Each component merges
 // ballot-monotonically, so a snapshot restored under replayed log records
 // never regresses a promise or resurrects a pre-decision state.
-func (s *Service) RestoreState(key, configID string, blob []byte) error {
+func (st *acceptor) Restore(blob []byte) error {
 	var snap acceptorSnap
 	if err := transport.Unmarshal(blob, &snap); err != nil {
-		return err
-	}
-	st, err := s.state(key, configID)
-	if err != nil {
 		return err
 	}
 	st.mu.Lock()

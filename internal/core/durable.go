@@ -1,11 +1,11 @@
 package core
 
 // Host durability: EnableDurability opens the keystate durability layer for
-// this host, registers every keyed service with it, recovers snapshot + log
-// tail BEFORE the host serves traffic, and wires the configuration
-// lifecycle (installs, retirements) into the meta log. The resolver is the
-// host's meta state: its configurations, templates, tombstones, and
-// successor records snapshot and restore as one blob.
+// this host, registers every keyed service's keystate.Family with it,
+// recovers snapshot + log tail BEFORE the host serves traffic, and wires the
+// configuration lifecycle (installs, retirements) into the meta log. The
+// resolver is the host's meta state: its configurations, templates,
+// tombstones, and successor records snapshot and restore as one blob.
 
 import (
 	"errors"
@@ -83,8 +83,8 @@ func (h *Host) EnableDurability(dir string, opts ...keystate.DurOption) (keystat
 	if err != nil {
 		return keystate.RecoveryStats{}, err
 	}
-	for _, svc := range h.durables {
-		d.Register(svc)
+	for _, f := range h.families {
+		d.Register(f)
 	}
 	d.SetMeta(&hostMeta{h: h})
 	stats, err := d.Recover()

@@ -44,18 +44,22 @@ type Host struct {
 
 	stores []storageReporter
 	recon  *recon.Service
-	counts []stateReporter
+	// families holds every keyed service's per-(key, config) states, in
+	// registration order: what durability journals, snapshots and restores,
+	// what retirement drops, and what MaterializedStates counts.
+	families []family
 
-	// Durability (see durable.go): the keyed services in registration order,
-	// and the layer itself once EnableDurability ran (nil = in-memory host).
-	durables []keystate.DurableService
-	dur      *keystate.Durability
+	// dur is the durability layer once EnableDurability ran (nil = in-memory
+	// host; see durable.go).
+	dur *keystate.Durability
 }
 
-// stateReporter is satisfied by every keyed service; it reports how many
-// (key, config) state entries are currently materialized.
-type stateReporter interface {
-	States() int
+// family is what the host needs of a keystate.Family, whatever its state
+// type.
+type family interface {
+	keystate.DurableService
+	Len() int
+	Retire(key, configID string) bool
 }
 
 // storageReporter is satisfied by every store service; it reports the bytes
@@ -83,22 +87,19 @@ func NewHost(n *node.Node, rpc transport.Client) *Host {
 	n.InstallKeyed(consensus.ServiceName, paxosSvc)
 	h.stores = []storageReporter{abdSvc, treasSvc}
 	h.recon = reconSvc
-	h.counts = []stateReporter{abdSvc, treasSvc, reconSvc, paxosSvc}
-	h.durables = []keystate.DurableService{abdSvc, treasSvc, reconSvc, paxosSvc}
+	h.families = []family{abdSvc.Family(), treasSvc.Family(), reconSvc.Family(), paxosSvc.Family()}
 
 	// Configuration-lifecycle GC: when the pointer service witnesses a
 	// finalized successor for (key, c), every family retires its (key, c)
 	// state — the resolver's tombstone (written by the pointer service)
 	// keeps the pair from rematerializing, so a lagging client's call gets
-	// an explicit cfg.ErrRetired redirect instead of fresh v₀ state.
+	// an explicit cfg.ErrRetired redirect instead of fresh v₀ state. The
+	// pointer service has already dropped its own entry, so its family
+	// reports nothing here.
 	reconSvc.SetLifecycle(rpc, func(key, configID string, _ cfg.Entry) int {
 		dropped := 0
-		for _, retire := range []func(key, configID string) bool{
-			abdSvc.RetireConfig,
-			treasSvc.RetireConfig,
-			paxosSvc.RetireConfig,
-		} {
-			if retire(key, configID) {
+		for _, f := range h.families {
+			if f.Retire(key, configID) {
 				dropped++
 			}
 		}
@@ -191,8 +192,8 @@ func (h *Host) ServiceInstances() int { return h.node.Services() }
 // O(live configurations) instead of O(reconfiguration walks).
 func (h *Host) MaterializedStates() int {
 	total := 0
-	for _, s := range h.counts {
-		total += s.States()
+	for _, f := range h.families {
+		total += f.Len()
 	}
 	return total
 }

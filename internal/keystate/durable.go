@@ -37,9 +37,10 @@ import (
 	"github.com/ares-storage/ares/internal/cfg"
 )
 
-// DurableService is the persistence contract a keyed service implements:
-// replay a journaled mutation, emit/restore per-(key, config) state blobs,
-// and accept the journal handle it writes live mutations through.
+// DurableService is the persistence contract Durability drives for one
+// family of per-(key, config) states: replay a journaled mutation,
+// emit/restore state blobs, and accept the journal handle live mutations
+// are written through. Family is its one implementation.
 type DurableService interface {
 	// DurableFamily names the service in records (its ServiceName).
 	DurableFamily() string
@@ -72,7 +73,7 @@ type RecoveryStats struct {
 	Installs       int   // configuration installs replayed
 	Retires        int   // retirements replayed
 	Applies        int   // mutations replayed
-	Skipped        int   // records skipped (retired or unknown configurations)
+	Skipped        int   // stripe records skipped (retired or unknown configurations)
 	TornSegments   int   // segments truncated at a corrupt or torn record
 	TornBytes      int64 // bytes discarded by those truncations
 }
@@ -233,8 +234,8 @@ func (d *Durability) replayLog(name string, fn func(r Record) error) (lastSeq in
 // registered service. It must complete before the node answers its first
 // envelope. Safe on an empty directory (fresh start), which it stamps with
 // FormatVersion. A directory of another format fails recovery, as does a
-// stripe record whose family no registered service owns (the error names
-// the family and the file that holds it).
+// stripe record whose family no registered service owns or a meta record
+// the meta hooks cannot replay (the error names the file that holds it).
 func (d *Durability) Recover() (RecoveryStats, error) {
 	if d.recovered {
 		return d.stats, errors.New("keystate: already recovered")
@@ -257,17 +258,19 @@ func (d *Durability) Recover() (RecoveryStats, error) {
 		return d.stats, err
 	}
 	metaSeq, err := d.replayLog("meta", func(r Record) error {
+		// A meta record that passed its CRC and still fails to replay fails
+		// recovery: skipping it would drop a configuration (or its
+		// retirement), and every stripe record under that configuration
+		// would then be skipped as unknown, losing acknowledged writes.
 		switch r.Kind {
 		case RecordInstall:
 			if err := d.meta.ReplayInstall(r.Payload); err != nil {
-				d.stats.Skipped++
-				return nil
+				return fmt.Errorf("install record: %w", err)
 			}
 			d.stats.Installs++
 		case RecordRetire:
 			if err := d.meta.ReplayRetire(r.Key, r.Config, r.Payload); err != nil {
-				d.stats.Skipped++
-				return nil
+				return fmt.Errorf("retire record of (%q, %q): %w", r.Key, r.Config, err)
 			}
 			d.stats.Retires++
 		}

@@ -3,6 +3,7 @@ package keystate
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -264,6 +265,75 @@ func TestDurabilityRefusesUnregisteredFamily(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), `"gone"`) || !strings.Contains(err.Error(), wantFile) {
 				t.Fatalf("error %q does not name the family and its %s file", err, wantFile)
+			}
+		})
+	}
+}
+
+// refusingMeta is a fakeMeta whose install or retire replay fails, as a
+// record that passed its CRC but does not decode would.
+type refusingMeta struct {
+	*fakeMeta
+	refuse byte
+}
+
+func (m refusingMeta) ReplayInstall(p []byte) error {
+	if m.refuse == RecordInstall {
+		return errors.New("undecodable install")
+	}
+	return m.fakeMeta.ReplayInstall(p)
+}
+
+func (m refusingMeta) ReplayRetire(key, config string, p []byte) error {
+	if m.refuse == RecordRetire {
+		return errors.New("undecodable retire")
+	}
+	return m.fakeMeta.ReplayRetire(key, config, p)
+}
+
+// TestDurabilityRefusesUnreplayableMeta pins fail-stop recovery on the meta
+// log: an install or retire record the meta hooks cannot replay fails
+// Recover, naming the meta segment, instead of being counted as skipped —
+// a dropped install would silently skip every stripe record under that
+// configuration.
+func TestDurabilityRefusesUnreplayableMeta(t *testing.T) {
+	for _, kind := range []byte{RecordInstall, RecordRetire} {
+		kind := kind
+		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
+			dir := t.TempDir()
+			d, svc, _ := openTestDurability(t, dir)
+			if _, err := d.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			release, err := d.AppendInstall([]byte("cfg-c0"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+			if err := svc.write("k", "c0", []byte("acked")); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AppendRetire("k", "c0", []byte("c1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			d2, err := OpenDurability(dir, WithFsync(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := newFakeMeta()
+			d2.Register(newFakeSvc("fake", meta))
+			d2.SetMeta(refusingMeta{fakeMeta: meta, refuse: kind})
+			stats, err := d2.Recover()
+			if err == nil {
+				d2.Close()
+				t.Fatalf("recovery skipped an unreplayable meta record (stats %+v)", stats)
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, "meta-")) || !strings.Contains(err.Error(), "undecodable") {
+				t.Fatalf("error %q does not name the meta segment and the cause", err)
 			}
 		})
 	}

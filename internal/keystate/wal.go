@@ -1,11 +1,10 @@
 package keystate
 
 // Write-ahead log: length-prefixed binary records over per-stripe segment
-// files. The record codec mirrors the transport wire codec's idioms —
-// uvarint-prefixed strings and byte slices appended onto reused buffers, a
-// cursor that threads one error through decoding — with a CRC32 trailer per
-// record so a torn tail (crash mid-append) is detected and truncated instead
-// of failing recovery.
+// files. A record body is encoded with the transport body codec
+// (uvarint-prefixed strings and byte slices, decoded by a strict
+// transport.Cursor), with a CRC32 trailer per record so a torn tail (crash
+// mid-append) is detected and truncated instead of failing recovery.
 //
 // Each log is a sequence of segment files <name>-<seq>.wal. Appends go to
 // the newest segment through a dedicated writer goroutine using the same
@@ -29,6 +28,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/ares-storage/ares/internal/transport"
 )
 
 // Record kinds. Apply/install/retire records live in log segments; state and
@@ -65,18 +66,6 @@ type Record struct {
 	Payload []byte
 }
 
-// appendWALString appends a uvarint length prefix and the string bytes.
-func appendWALString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendWALBytes appends a uvarint length prefix and the raw bytes.
-func appendWALBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // appendRecord appends one framed record to dst:
 //
 //	[4-byte BE body length][body][4-byte BE CRC32(body)]
@@ -86,56 +75,14 @@ func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, 0, 0, 0, 0) // length, patched below
 	body := len(dst)
 	dst = append(dst, r.Kind)
-	dst = appendWALString(dst, r.Family)
-	dst = appendWALString(dst, r.Key)
-	dst = appendWALString(dst, r.Config)
+	dst = transport.AppendString(dst, r.Family)
+	dst = transport.AppendString(dst, r.Key)
+	dst = transport.AppendString(dst, r.Config)
 	dst = append(dst, r.Op)
-	dst = appendWALBytes(dst, r.Payload)
+	dst = transport.AppendBytes(dst, r.Payload)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-body))
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[body:]))
 }
-
-// walCursor walks a record body during decoding, threading one error value
-// through the reads (the wire codec's decode idiom).
-type walCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *walCursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *walCursor) byte() byte {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 1 {
-		c.fail("keystate: wal record truncated")
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *walCursor) bytes() []byte {
-	if c.err != nil {
-		return nil
-	}
-	n, used := binary.Uvarint(c.b)
-	if used <= 0 || n > uint64(len(c.b)-used) {
-		c.fail("keystate: wal record field length invalid")
-		return nil
-	}
-	v := c.b[used : used+int(n)]
-	c.b = c.b[used+int(n):]
-	return v
-}
-
-func (c *walCursor) string() string { return string(c.bytes()) }
 
 // errBadRecord marks a record rejected by framing, CRC, or body decoding —
 // the signal recovery treats as "torn tail: truncate here".
@@ -162,18 +109,15 @@ func decodeFrame(b []byte) (Record, int, error) {
 	if crc32.ChecksumIEEE(body) != sum {
 		return Record{}, 0, fmt.Errorf("%w: crc mismatch", errBadRecord)
 	}
-	cur := walCursor{b: body}
-	r := Record{Kind: cur.byte()}
-	r.Family = cur.string()
-	r.Key = cur.string()
-	r.Config = cur.string()
-	r.Op = cur.byte()
-	r.Payload = append([]byte(nil), cur.bytes()...)
-	if cur.err != nil {
-		return Record{}, 0, fmt.Errorf("%w: %v", errBadRecord, cur.err)
-	}
-	if len(cur.b) != 0 {
-		return Record{}, 0, fmt.Errorf("%w: %d trailing body bytes", errBadRecord, len(cur.b))
+	cur := transport.NewCursor(body)
+	r := Record{Kind: cur.Byte()}
+	r.Family = cur.Str()
+	r.Key = cur.Str()
+	r.Config = cur.Str()
+	r.Op = cur.Byte()
+	r.Payload = append([]byte(nil), cur.Bytes()...)
+	if err := cur.Finish(); err != nil {
+		return Record{}, 0, fmt.Errorf("%w: %v", errBadRecord, err)
 	}
 	return r, total, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ares-storage/ares/internal/cfg"
+	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/transport/bodytest"
 	"github.com/ares-storage/ares/internal/types"
 )
@@ -56,5 +57,26 @@ func TestBudgetBodyAllocs(t *testing.T) {
 		if enc > tc.enc || dec > tc.dec {
 			t.Errorf("%s: %.0f allocs to encode, %.0f to decode; budget %.0f and %.0f", tc.name, enc, dec, tc.enc, tc.dec)
 		}
+	}
+}
+
+// TestBudgetHandlerAllocs pins the allocations of one read-config
+// HandleKeyed call on an already materialized pointer holding a pending
+// successor (no journal): the step every Get and Put starts with.
+func TestBudgetHandlerAllocs(t *testing.T) {
+	svc := soloPointer()
+	write, err := transport.Marshal(writeConfigReq{Next: sampleNext(cfg.Pending)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleKeyed("c", "", "solo", msgWriteConfig, write); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		_, _ = svc.HandleKeyed("c", "", "solo", msgReadConfig, nil)
+	})
+	t.Logf("%s: %.2f allocs", msgReadConfig, got)
+	if got > 1 {
+		t.Errorf("%s: %.2f allocs per HandleKeyed, budget 1", msgReadConfig, got)
 	}
 }

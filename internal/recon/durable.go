@@ -31,8 +31,6 @@ type pointerSnap struct {
 // superseded by next, before any in-memory lifecycle mutation.
 type PreRetireFunc func(key, configID string, next cfg.Entry) error
 
-var _ keystate.DurableService = (*Service)(nil)
-
 // SetPreRetire installs the durability hook run at the top of every
 // retirement (nil disables). Errors are deliberately non-fatal to the
 // retirement itself: the finalized write-config record IS journaled, so a
@@ -40,23 +38,9 @@ var _ keystate.DurableService = (*Service)(nil)
 // recovery.
 func (s *Service) SetPreRetire(fn PreRetireFunc) { s.preRetire = fn }
 
-// DurableFamily implements keystate.DurableService.
-func (s *Service) DurableFamily() string { return ServiceName }
-
-// SetJournal attaches the write-ahead journal (nil = in-memory).
-func (s *Service) SetJournal(j *keystate.Journal) { s.journal.Store(j) }
-
-func (s *Service) journalWriteConfig(key, configID string, payload []byte) (func(), error) {
-	jr := s.journal.Load()
-	if jr == nil {
-		return func() {}, nil
-	}
-	return jr.Append(key, configID, opWriteConfig, payload)
-}
-
-// ReplayApply implements keystate.DurableService: re-run one write-config
-// transition with no retire/gossip side effects.
-func (s *Service) ReplayApply(key, configID string, op byte, payload []byte) error {
+// Replay implements keystate.State: re-run one write-config transition with
+// no retire/gossip side effects.
+func (st *pointer) Replay(op byte, payload []byte) error {
 	if op != opWriteConfig {
 		return fmt.Errorf("recon: unknown journal op %d", op)
 	}
@@ -64,44 +48,26 @@ func (s *Service) ReplayApply(key, configID string, op byte, payload []byte) err
 	if err := transport.Unmarshal(payload, &req); err != nil {
 		return err
 	}
-	st, err := s.state(key, configID)
-	if err != nil {
-		return err
-	}
 	st.apply(req.Next)
 	return nil
 }
 
-// SnapshotStates implements keystate.DurableService.
-func (s *Service) SnapshotStates(emit func(key, configID string, blob []byte) error) error {
-	var outerErr error
-	s.states.Range(func(ref keystate.Ref, st *pointer) bool {
-		st.mu.Lock()
-		blob, err := transport.Marshal(pointerSnap{HasNext: st.hasNext, Next: st.next})
-		st.mu.Unlock()
-		if err == nil {
-			err = emit(ref.Key, ref.Config, blob)
-		}
-		outerErr = err
-		return err == nil
-	})
-	return outerErr
+// Snapshot implements keystate.State.
+func (st *pointer) Snapshot() ([]byte, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return transport.Marshal(pointerSnap{HasNext: st.hasNext, Next: st.next})
 }
 
-// RestoreState implements keystate.DurableService.
-func (s *Service) RestoreState(key, configID string, blob []byte) error {
+// Restore implements keystate.State. A ⊥ blob leaves the pointer at ⊥.
+func (st *pointer) Restore(blob []byte) error {
 	var snap pointerSnap
 	if err := transport.Unmarshal(blob, &snap); err != nil {
 		return err
 	}
-	if !snap.HasNext {
-		return nil
+	if snap.HasNext {
+		st.apply(snap.Next)
 	}
-	st, err := s.state(key, configID)
-	if err != nil {
-		return err
-	}
-	st.apply(snap.Next)
 	return nil
 }
 

@@ -43,14 +43,14 @@ func TestFinalizationRetiresPointer(t *testing.T) {
 	if _, err := svc.HandleKeyed("q", "k", "gc/k/c0", msgWriteConfig, transport.MustMarshal(writeConfigReq{Next: entryP})); err != nil {
 		t.Fatal(err)
 	}
-	if svc.States() != 1 || len(*retired) != 0 {
-		t.Fatalf("pending write: states=%d retired=%v, want 1 state and no retirement", svc.States(), *retired)
+	if svc.Family().Len() != 1 || len(*retired) != 0 {
+		t.Fatalf("pending write: states=%d retired=%v, want 1 state and no retirement", svc.Family().Len(), *retired)
 	}
 	if _, err := svc.HandleKeyed("q", "k", "gc/k/c0", msgWriteConfig, transport.MustMarshal(writeConfigReq{Next: entryF})); err != nil {
 		t.Fatal(err)
 	}
-	if svc.States() != 0 {
-		t.Fatalf("finalized write left %d pointer states, want 0 (retired to archive)", svc.States())
+	if svc.Family().Len() != 0 {
+		t.Fatalf("finalized write left %d pointer states, want 0 (retired to archive)", svc.Family().Len())
 	}
 	if len(*retired) != 1 || (*retired)[0] != "k/gc/k/c0→gc/k/c1" {
 		t.Fatalf("fan-out calls = %v, want exactly the finalized pair", *retired)
@@ -100,8 +100,8 @@ func TestLifecycleDisabledKeepsPointers(t *testing.T) {
 	if _, err := svc.HandleKeyed("q", "k", "keep/k/c0", msgWriteConfig, transport.MustMarshal(writeConfigReq{Next: cfg.Entry{Cfg: c1, Status: cfg.Finalized}})); err != nil {
 		t.Fatal(err)
 	}
-	if svc.States() != 1 {
-		t.Fatalf("states = %d, want 1 (no GC without SetLifecycle)", svc.States())
+	if svc.Family().Len() != 1 {
+		t.Fatalf("states = %d, want 1 (no GC without SetLifecycle)", svc.Family().Len())
 	}
 	if src.RetiredCount() != 0 {
 		t.Fatalf("resolver tombstones = %d, want 0", src.RetiredCount())

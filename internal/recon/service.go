@@ -85,9 +85,11 @@ type RetireFunc func(key, configID string, next cfg.Entry) int
 
 // Service hosts every nextC pointer of one node.
 type Service struct {
-	self   types.ProcessID
-	cfgs   cfg.Source
-	states *keystate.Map[*pointer]
+	self types.ProcessID
+	cfgs cfg.Source
+	// states journals write-config transitions before they apply once
+	// durability attaches a journal (see durable.go).
+	states *keystate.Family[*pointer]
 
 	// Lifecycle wiring (SetLifecycle): the host's retire fan-out, the
 	// server's own endpoint for finalization gossip, and the retired-state
@@ -98,10 +100,8 @@ type Service struct {
 	rpc      transport.Client
 	retired  atomic.Int64
 	sends    sync.WaitGroup
-	// Durability wiring (see durable.go): the write-ahead journal for
-	// write-config transitions, and the host's hook that journals a
-	// retirement before it mutates memory. Both nil for in-memory operation.
-	journal   atomic.Pointer[keystate.Journal]
+	// preRetire is the host's hook that journals a retirement before it
+	// mutates memory (see durable.go); nil for in-memory operation.
 	preRetire PreRetireFunc
 	// gossipSlots caps concurrent gossip fan-outs. Gossip is best effort
 	// (client traversals re-propagate finalizations anyway), so under
@@ -115,9 +115,11 @@ type Service struct {
 // per-(key, config) pointer starts at nextC = ⊥ on first touch.
 func NewService(self types.ProcessID, cfgs cfg.Source) *Service {
 	return &Service{
-		self:        self,
-		cfgs:        cfgs,
-		states:      keystate.New[*pointer](keystate.DefaultShards),
+		self: self,
+		cfgs: cfgs,
+		states: keystate.NewFamily(ServiceName, self, cfgs, func(cfg.Configuration, int) (*pointer, error) {
+			return &pointer{}, nil
+		}),
 		gossipSlots: make(chan struct{}, maxGossipFanouts),
 	}
 }
@@ -137,16 +139,9 @@ func (s *Service) SetLifecycle(rpc transport.Client, onRetire RetireFunc) {
 
 var _ node.KeyedService = (*Service)(nil)
 
-// state returns (creating on first touch) the pointer for (key, configID).
-func (s *Service) state(key, configID string) (*pointer, error) {
-	return keystate.Materialize(s.states, s.cfgs, ServiceName, s.self, key, configID,
-		func(c cfg.Configuration) (*pointer, error) {
-			if _, ok := c.ServerIndex(s.self); !ok {
-				return nil, fmt.Errorf("recon: server %s is not a member of %s", s.self, c.ID)
-			}
-			return &pointer{}, nil
-		})
-}
+// Family returns the service's per-(key, config) pointers, for the host's
+// durability and retirement wiring.
+func (s *Service) Family() *keystate.Family[*pointer] { return s.states }
 
 // archived answers a message addressed to a retired (key, configID): the
 // key's latest recorded successor, resolved back to its full configuration.
@@ -198,7 +193,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		}
 	}
 
-	st, err := s.state(key, configID)
+	st, err := s.states.State(key, configID)
 	if err != nil {
 		// Lost the race with a concurrent retirement: answer from the
 		// archive after all rather than bouncing the client.
@@ -223,7 +218,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		// append is deliberately gate-free (see keystate.AppendRetire), so
 		// snapshot rotation can never slip between this record and the
 		// retirement it triggers.
-		release, err := s.journalWriteConfig(key, configID, payload)
+		release, err := s.states.Journal(key, configID, opWriteConfig, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +293,7 @@ func (s *Service) retire(key, configID string, next cfg.Entry) {
 	if !ret.Retire(key, cfg.ID(configID), next.Cfg.ID) {
 		return // already retired (idempotent replays, gossip echoes)
 	}
-	if s.states.Delete(keystate.Ref{Key: key, Config: configID}) {
+	if s.states.Retire(key, configID) {
 		s.retired.Add(1)
 	}
 	if s.onRetire != nil {
@@ -350,10 +345,6 @@ func (s *Service) gossip(key, configID string, next cfg.Entry, peers []types.Pro
 // WaitGossip blocks until in-flight finalization gossip has drained (tests).
 func (s *Service) WaitGossip() { s.sends.Wait() }
 
-// States reports how many (key, config) pointers have been materialized
-// (for tests).
-func (s *Service) States() int { return s.states.Len() }
-
 // RetiredStates reports how many per-(key, config) state entries this
 // server has garbage-collected across all keyed services (pointer entries
 // plus the fan-out's count).
@@ -364,7 +355,7 @@ func (s *Service) RetiredStates() int64 { return s.retired.Load() }
 // still ⊥. A retired pointer answers from the archive, exactly as the wire
 // read-config does.
 func (s *Service) Next(key, configID string) (cfg.Entry, bool) {
-	st, found := s.states.Get(keystate.Ref{Key: key, Config: configID})
+	st, found := s.states.Get(key, configID)
 	if !found {
 		return s.archived(key, configID)
 	}

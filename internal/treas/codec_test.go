@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/tag"
+	"github.com/ares-storage/ares/internal/transport"
 	"github.com/ares-storage/ares/internal/transport/bodytest"
+	"github.com/ares-storage/ares/internal/types"
 )
 
 // bodyKinds builds a fresh decode target for each binary body; the fuzz
@@ -73,6 +76,45 @@ func TestBudgetBodyAllocs(t *testing.T) {
 		t.Logf("%T: %.0f allocs to encode, %.0f to decode", tc.v, enc, dec)
 		if enc > tc.enc || dec > tc.dec {
 			t.Errorf("%T: %.0f allocs to encode, %.0f to decode; budget %.0f and %.0f", tc.v, enc, dec, tc.enc, tc.dec)
+		}
+	}
+}
+
+// TestBudgetHandlerAllocs pins the allocations of one HandleKeyed call per
+// data-path message on an already materialized object (no journal): the
+// steady server path every Get and Put pays. The put-data repeats one tag,
+// so after the first call it is the List's duplicate path.
+func TestBudgetHandlerAllocs(t *testing.T) {
+	c := cfg.Configuration{ID: "x", Algorithm: cfg.TREAS, Servers: []types.ProcessID{"s1"}, K: 1, Delta: 4}
+	src := cfg.NewResolver()
+	src.Add(c)
+	svc := NewService("s1", src, nil)
+	w := tag.Tag{Z: 1, W: "w"}
+	list, err := transport.Marshal(listReq{Floor: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := transport.Marshal(putDataReq{Tag: w, Elem: make([]byte, 1024), ValueLen: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		msgType string
+		payload []byte
+		allocs  float64
+	}{
+		{msgPutData, put, 1},
+		{msgQueryList, list, 4},
+	} {
+		if _, err := svc.HandleKeyed("c", "", "x", tc.msgType, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			_, _ = svc.HandleKeyed("c", "", "x", tc.msgType, tc.payload)
+		})
+		t.Logf("%s: %.2f allocs", tc.msgType, got)
+		if got > tc.allocs {
+			t.Errorf("%s: %.2f allocs per HandleKeyed, budget %.0f", tc.msgType, got, tc.allocs)
 		}
 	}
 }

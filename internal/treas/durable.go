@@ -13,7 +13,6 @@ package treas
 import (
 	"fmt"
 
-	"github.com/ares-storage/ares/internal/keystate"
 	"github.com/ares-storage/ares/internal/transport"
 )
 
@@ -28,28 +27,9 @@ type objSnap struct {
 	Entries []listEntry
 }
 
-var _ keystate.DurableService = (*Service)(nil)
-
-// DurableFamily implements keystate.DurableService.
-func (s *Service) DurableFamily() string { return ServiceName }
-
-// SetJournal attaches the write-ahead journal (nil = in-memory).
-func (s *Service) SetJournal(j *keystate.Journal) { s.journal.Store(j) }
-
-func (s *Service) journalOp(key, configID string, op byte, payload []byte) (func(), error) {
-	jr := s.journal.Load()
-	if jr == nil {
-		return func() {}, nil
-	}
-	return jr.Append(key, configID, op, payload)
-}
-
-// ReplayApply implements keystate.DurableService.
-func (s *Service) ReplayApply(key, configID string, op byte, payload []byte) error {
-	st, err := s.state(key, configID)
-	if err != nil {
-		return err
-	}
+// Replay implements keystate.State.
+func (st *objState) Replay(op byte, payload []byte) error {
+	var err error
 	switch op {
 	case opPutData:
 		_, err = st.handlePutData(payload)
@@ -61,37 +41,24 @@ func (s *Service) ReplayApply(key, configID string, op byte, payload []byte) err
 	return err
 }
 
-// SnapshotStates implements keystate.DurableService.
-func (s *Service) SnapshotStates(emit func(key, configID string, blob []byte) error) error {
-	var outerErr error
-	s.states.Range(func(ref keystate.Ref, st *objState) bool {
-		st.mu.Lock()
-		snap := objSnap{Entries: make([]listEntry, 0, len(st.list))}
-		for _, e := range st.list {
-			snap.Entries = append(snap.Entries, e)
-		}
-		st.mu.Unlock()
-		blob, err := transport.Marshal(snap)
-		if err == nil {
-			err = emit(ref.Key, ref.Config, blob)
-		}
-		outerErr = err
-		return err == nil
-	})
-	return outerErr
+// Snapshot implements keystate.State.
+func (st *objState) Snapshot() ([]byte, error) {
+	st.mu.Lock()
+	snap := objSnap{Entries: make([]listEntry, 0, len(st.list))}
+	for _, e := range st.list {
+		snap.Entries = append(snap.Entries, e)
+	}
+	st.mu.Unlock()
+	return transport.Marshal(snap)
 }
 
-// RestoreState implements keystate.DurableService. Entries merge into the
-// List (an element never downgrades to ⊥), then the δ+1 bound re-trims —
-// restoring an older snapshot under newer replayed records converges to the
-// same List the live run held.
-func (s *Service) RestoreState(key, configID string, blob []byte) error {
+// Restore implements keystate.State. Entries merge into the List (an
+// element never downgrades to ⊥), then the δ+1 bound re-trims — restoring
+// an older snapshot under newer replayed records converges to the same List
+// the live run held.
+func (st *objState) Restore(blob []byte) error {
 	var snap objSnap
 	if err := transport.Unmarshal(blob, &snap); err != nil {
-		return err
-	}
-	st, err := s.state(key, configID)
-	if err != nil {
 		return err
 	}
 	st.mu.Lock()

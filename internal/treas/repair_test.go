@@ -26,7 +26,7 @@ func wipeServer(t *testing.T, net *transport.Simnet, c cfg.Configuration, id typ
 	net.Register(id, nd) // replaces the previous handler
 	// Touch the object so the wiped server starts from the initial List
 	// (t0 only), exactly as a disk-lost server rejoining would.
-	if _, err := svc.state("", string(c.ID)); err != nil {
+	if _, err := svc.states.State("", string(c.ID)); err != nil {
 		t.Fatal(err)
 	}
 	return svc

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ares-storage/ares/internal/cfg"
 	"github.com/ares-storage/ares/internal/erasure"
@@ -130,35 +129,36 @@ type sharedCode struct {
 // network endpoint, needed only for the §5 server-to-server forwarding; it
 // may be nil when reconfiguration transfer is not exercised.
 type Service struct {
-	self   types.ProcessID
-	cfgs   cfg.Source
-	rpc    transport.Client
-	states *keystate.Map[*objState]
+	self types.ProcessID
+	rpc  transport.Client
+	// states journals put-data and fwd-elem before they apply once
+	// durability attaches a journal (see durable.go).
+	states *keystate.Family[*objState]
 
 	codeMu sync.Mutex
 	codes  map[codeParams]*sharedCode
 
 	sends sync.WaitGroup
-
-	// journal, when attached, write-ahead-logs put-data and fwd-elem before
-	// they apply (see durable.go); nil for in-memory operation.
-	journal atomic.Pointer[keystate.Journal]
 }
 
 // NewService returns the node-wide TREAS store for server self. cfgs
 // resolves the configurations messages address; state for unresolvable or
 // non-member configurations is never created.
 func NewService(self types.ProcessID, cfgs cfg.Source, rpc transport.Client) *Service {
-	return &Service{
-		self:   self,
-		cfgs:   cfgs,
-		rpc:    rpc,
-		states: keystate.New[*objState](keystate.DefaultShards),
-		codes:  make(map[codeParams]*sharedCode),
+	s := &Service{
+		self:  self,
+		rpc:   rpc,
+		codes: make(map[codeParams]*sharedCode),
 	}
+	s.states = keystate.NewFamily(ServiceName, self, cfgs, s.newObject)
+	return s
 }
 
 var _ node.KeyedService = (*Service)(nil)
+
+// Family returns the service's per-(key, config) objects, for the host's
+// durability and retirement wiring.
+func (s *Service) Family() *keystate.Family[*objState] { return s.states }
 
 // codeFor returns the shared codec (and initial-value shards) for [n, k],
 // building it once per parameter pair.
@@ -183,39 +183,32 @@ func (s *Service) codeFor(n, k int) (*sharedCode, error) {
 	return sc, nil
 }
 
-// state returns (creating on first touch) the object state for
-// (key, configID).
-func (s *Service) state(key, configID string) (*objState, error) {
-	return keystate.Materialize(s.states, s.cfgs, ServiceName, s.self, key, configID,
-		func(c cfg.Configuration) (*objState, error) {
-			if c.Algorithm != cfg.TREAS {
-				return nil, fmt.Errorf("treas: configuration %s uses algorithm %q", c.ID, c.Algorithm)
-			}
-			idx, ok := c.ServerIndex(s.self)
-			if !ok {
-				return nil, fmt.Errorf("treas: server %s is not a member of %s", s.self, c.ID)
-			}
-			sc, err := s.codeFor(c.N(), c.K)
-			if err != nil {
-				return nil, err
-			}
-			st := &objState{
-				cfg:       c,
-				index:     idx,
-				code:      sc.code,
-				list:      make(map[tag.Tag]listEntry),
-				pendingD:  make(map[tag.Tag]*pendingDecode),
-				recons:    make(map[types.ProcessID]bool),
-				forwarded: make(map[string]bool),
-			}
-			st.list[tag.Zero] = listEntry{Tag: tag.Zero, Elem: sc.zeroShards[idx], HasElem: true, ValueLen: 0}
-			return st, nil
-		})
+// newObject builds the fresh object state of a configuration this server
+// holds shard idx of.
+func (s *Service) newObject(c cfg.Configuration, idx int) (*objState, error) {
+	if c.Algorithm != cfg.TREAS {
+		return nil, fmt.Errorf("treas: configuration %s uses algorithm %q", c.ID, c.Algorithm)
+	}
+	sc, err := s.codeFor(c.N(), c.K)
+	if err != nil {
+		return nil, err
+	}
+	st := &objState{
+		cfg:       c,
+		index:     idx,
+		code:      sc.code,
+		list:      make(map[tag.Tag]listEntry),
+		pendingD:  make(map[tag.Tag]*pendingDecode),
+		recons:    make(map[types.ProcessID]bool),
+		forwarded: make(map[string]bool),
+	}
+	st.list[tag.Zero] = listEntry{Tag: tag.Zero, Elem: sc.zeroShards[idx], HasElem: true, ValueLen: 0}
+	return st, nil
 }
 
 // HandleKeyed implements node.KeyedService.
 func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, payload []byte) (any, error) {
-	st, err := s.state(key, configID)
+	st, err := s.states.State(key, configID)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +222,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 		}
 		return st.handleQueryList(req.Floor)
 	case msgPutData:
-		release, err := s.journalOp(key, configID, opPutData, payload)
+		release, err := s.states.Journal(key, configID, opPutData, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +231,7 @@ func (s *Service) HandleKeyed(_ types.ProcessID, key, configID, msgType string, 
 	case msgReqForward:
 		return s.handleReqForward(st, payload)
 	case msgFwdElem:
-		release, err := s.journalOp(key, configID, opFwdElem, payload)
+		release, err := s.states.Journal(key, configID, opFwdElem, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -347,22 +340,11 @@ func (s *Service) StorageBytes() int {
 	return total
 }
 
-// States reports how many (key, config) objects have been materialized (for
-// tests asserting lazy creation and O(1)-in-keys service hosting).
-func (s *Service) States() int { return s.states.Len() }
-
-// RetireConfig drops the object state for (key, configID) — List, pending
-// decodes, forward dedup — reporting whether state existed. The lifecycle GC
-// calls it once the configuration's finalized successor proves it quiescent.
-func (s *Service) RetireConfig(key, configID string) bool {
-	return s.states.Delete(keystate.Ref{Key: key, Config: configID})
-}
-
 // ListSize returns how many tags one object's List holds and how many retain
 // coded elements (for tests asserting the GC bound). Missing objects report
 // zeros.
 func (s *Service) ListSize(key, configID string) (tags, withElems int) {
-	st, ok := s.states.Get(keystate.Ref{Key: key, Config: configID})
+	st, ok := s.states.Get(key, configID)
 	if !ok {
 		return 0, 0
 	}
@@ -379,7 +361,7 @@ func (s *Service) ListSize(key, configID string) (tags, withElems int) {
 
 // MaxTag returns the largest tag in one object's List (for tests).
 func (s *Service) MaxTag(key, configID string) tag.Tag {
-	st, ok := s.states.Get(keystate.Ref{Key: key, Config: configID})
+	st, ok := s.states.Get(key, configID)
 	if !ok {
 		return tag.Zero
 	}

@@ -364,15 +364,15 @@ func TestServiceMembershipValidation(t *testing.T) {
 	if _, err := outsider.HandleKeyed("q", "", "x", msgQueryTag, nil); err == nil {
 		t.Fatal("non-member server materialized state")
 	}
-	if outsider.States() != 0 {
+	if outsider.Family().Len() != 0 {
 		t.Fatal("rejected message left state behind")
 	}
 	member := NewService("s1", src, nil)
 	if _, err := member.HandleKeyed("q", "", "x", msgQueryTag, nil); err != nil {
 		t.Fatalf("member first touch: %v", err)
 	}
-	if member.States() != 1 {
-		t.Fatalf("member States = %d, want 1", member.States())
+	if member.Family().Len() != 1 {
+		t.Fatalf("member States = %d, want 1", member.Family().Len())
 	}
 }
 

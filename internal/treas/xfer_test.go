@@ -16,7 +16,7 @@ import (
 // white-box assertions on Lists and §5 bookkeeping.
 func objOf(t *testing.T, svc *Service, key, configID string) *objState {
 	t.Helper()
-	st, err := svc.state(key, configID)
+	st, err := svc.states.State(key, configID)
 	if err != nil {
 		t.Fatal(err)
 	}
